@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +34,7 @@ from .episodes import (
     episodes_to_rows,
 )
 from .intermediary import IntermediaryConfig, simulate, to_monthly_table
-from .nullmodels import (
-    MODELS,
-    AsymVolParams,
-    BlockBootstrapParams,
-    GbmParams,
-    HestonParams,
-    MarkovRsParams,
-    NullSpec,
-    run_null_study,
-)
+from .nullmodels import DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, run_null_study
 from .regime import classify
 from .survival import cox_fit
 from .timeseries import log_returns, realized_vol
@@ -76,7 +67,7 @@ EMA_NOTE = (
 
 @dataclass
 class RunConfig:
-    """Parsed flags; defaults reproduce the baseline settings."""
+    """Parsed flags; defaults reproduce the baseline settings and are the CLI's defaults."""
 
     command: str = "run-all"
     data_dir: Path = field(default_factory=lambda: Path("data"))
@@ -172,8 +163,8 @@ def cmd_episodes(cfg: RunConfig) -> int:
     if not eps:
         print(f"no episodes with depth >= {cfg.delta}")
         return 0
-    _write(cfg, "episodes", episodes_to_rows(path, eps))
     buckets = bucket_stats(eps, bootstrap_B=cfg.bootstrap_b, seed=cfg.seed)
+    _write(cfg, "episodes", episodes_to_rows(path, eps))
     _write(cfg, "buckets", bucket_rows_to_records(buckets))
     _write(cfg, "delta_sensitivity", delta_sensitivity(path))
     n_deep = sum(1 for e in eps if e.depth >= 0.30)
@@ -237,20 +228,6 @@ def cmd_r3(cfg: RunConfig) -> int:
     return 0
 
 
-def _null_params(model: str, cfg: RunConfig, returns: np.ndarray | None):
-    if model == "gbm":
-        return GbmParams()
-    if model == "asym_vol":
-        return AsymVolParams()
-    if model == "heston":
-        return HestonParams()
-    if model == "markov_rs":
-        return MarkovRsParams()
-    if returns is None:
-        raise FileNotFoundError("block_bootstrap requires the price CSV for empirical returns")
-    return BlockBootstrapParams(returns=returns)
-
-
 def cmd_nulls(cfg: RunConfig) -> int:
     models = list(cfg.models)
     bad = [m for m in models if m not in MODELS]
@@ -271,9 +248,10 @@ def cmd_nulls(cfg: RunConfig) -> int:
 
     rows = []
     for model in models:
+        params = BlockBootstrapParams(returns) if model == "block_bootstrap" else DEFAULT_PARAMS[model]()
         spec = NullSpec(
             model=model,
-            params=_null_params(model, cfg, returns),
+            params=params,
             n_days=cfg.n_days,
             n_paths=cfg.n_paths,
             seed=cfg.seed,
@@ -321,7 +299,7 @@ def cmd_run_all(cfg: RunConfig) -> int:
         failures += _guarded(cmd_headline, cfg)
     else:
         print("run-all: monthly panel missing, running headline on synthetic data")
-        failures += _guarded(cmd_headline, _with(cfg, synthetic=True))
+        failures += _guarded(cmd_headline, replace(cfg, synthetic=True))
 
     if cfg.price_path().exists():
         failures += _guarded(cmd_episodes, cfg)
@@ -340,11 +318,6 @@ def cmd_run_all(cfg: RunConfig) -> int:
     return 0
 
 
-def _with(cfg: RunConfig, **kw) -> RunConfig:
-    out = RunConfig(**{**cfg.__dict__, **kw})
-    return out
-
-
 def _guarded(fn, cfg: RunConfig) -> int:
     try:
         return 1 if fn(cfg) else 0
@@ -353,14 +326,70 @@ def _guarded(fn, cfg: RunConfig) -> int:
         return 1
 
 
+def _models(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# Every flag, once. A flag's default is the RunConfig field its dest names;
+# --data-dir defaults to None so that config_from_args can fall back to
+# $REGIMELAB_DATA_DIR.
+FLAGS = {
+    "--data-dir": dict(type=Path, default=None,
+                       help="input directory (default: $REGIMELAB_DATA_DIR or ./data)"),
+    "--out": dict(type=Path, help="output directory"),
+    "--format": dict(choices=("csv", "json")),
+    "--seed": dict(type=int),
+    "--prices": dict(type=Path, help="daily price CSV (date,close)"),
+    "--monthly": dict(type=Path, help="monthly panel CSV (month,margin_debt,vix)"),
+    "--input": dict(dest="cot_input", type=Path, help="assembled companion CSV (period,exposure,vol)"),
+    "--synthetic": dict(action="store_true", help="use the intermediary simulator instead of data"),
+    "--q": dict(type=float, help="stress tail fraction"),
+    "--delta": dict(type=float, help="minimum drawdown depth"),
+    "--lags": dict(type=int, help="Newey-West lag count"),
+    "--lag-regime": dict(type=int, help="lag the stress indicator k months"),
+    "--bootstrap-b": dict(type=int, help="bootstrap resamples for bucket CIs"),
+    "--models": dict(type=_models, help=f"comma-separated subset of {','.join(MODELS)}"),
+    "--paths": dict(dest="n_paths", type=int),
+    "--days": dict(dest="n_days", type=int),
+    "--comparator": dict(type=float, help="empirical median duration ratio"),
+    "--agents": dict(type=int),
+    "--periods": dict(type=int),
+}
+
+_COMMON = ("--data-dir", "--out", "--format", "--seed")
+
+# command -> (function, help line, flags in help order)
 COMMANDS = {
-    "headline": cmd_headline,
-    "episodes": cmd_episodes,
-    "r3": cmd_r3,
-    "nulls": cmd_nulls,
-    "cot": cmd_cot,
-    "simulate-intermediary": cmd_simulate_intermediary,
-    "run-all": cmd_run_all,
+    "headline": (
+        cmd_headline, "regime-interacted exposure regression plus robustness sweeps",
+        (*_COMMON, "--monthly", "--synthetic", "--q", "--lags", "--lag-regime", "--agents", "--periods"),
+    ),
+    "episodes": (
+        cmd_episodes, "drawdown-recovery episode detection and bucket statistics",
+        (*_COMMON, "--prices", "--delta", "--q", "--bootstrap-b"),
+    ),
+    "r3": (
+        cmd_r3, "continuous-depth regression and Cox hazard model",
+        (*_COMMON, "--prices", "--delta", "--lags"),
+    ),
+    "nulls": (
+        cmd_nulls, "null-model duration-ratio studies",
+        (*_COMMON, "--prices", "--models", "--paths", "--days", "--delta", "--comparator"),
+    ),
+    "cot": (
+        cmd_cot, "companion exposure test (reports not-estimated without input)",
+        (*_COMMON, "--input", "--q", "--lags", "--lag-regime"),
+    ),
+    "simulate-intermediary": (
+        cmd_simulate_intermediary, "emit a simulated intermediary panel",
+        (*_COMMON, "--agents", "--periods"),
+    ),
+    # not the union of the others: run-all takes no --lag-regime and no --input
+    "run-all": (
+        cmd_run_all, "chain headline, episodes, r3, nulls, cot",
+        (*_COMMON, "--prices", "--monthly", "--synthetic", "--q", "--delta", "--lags",
+         "--bootstrap-b", "--models", "--paths", "--days", "--comparator", "--agents", "--periods"),
+    ),
 }
 
 
@@ -371,92 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"regimelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, paths=False, monthly=False) -> None:
-        p.add_argument("--data-dir", type=Path, default=None,
-                       help="input directory (default: $REGIMELAB_DATA_DIR or ./data)")
-        p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=1)
-        if paths:
-            p.add_argument("--prices", type=Path, default=None, help="daily price CSV (date,close)")
-        if monthly:
-            p.add_argument("--monthly", type=Path, default=None,
-                           help="monthly panel CSV (month,margin_debt,vix)")
-
-    p = sub.add_parser("headline", help="regime-interacted exposure regression plus robustness sweeps")
-    common(p, monthly=True)
-    p.add_argument("--synthetic", action="store_true", help="use the intermediary simulator instead of data")
-    p.add_argument("--q", type=float, default=0.10, help="stress tail fraction")
-    p.add_argument("--lags", type=int, default=6, help="Newey-West lag count")
-    p.add_argument("--lag-regime", type=int, default=0, help="lag the stress indicator k months")
-    p.add_argument("--agents", type=int, default=50)
-    p.add_argument("--periods", type=int, default=360)
-
-    p = sub.add_parser("episodes", help="drawdown-recovery episode detection and bucket statistics")
-    common(p, paths=True)
-    p.add_argument("--delta", type=float, default=0.05, help="minimum drawdown depth")
-    p.add_argument("--q", type=float, default=0.10)
-    p.add_argument("--bootstrap-b", type=int, default=10_000, help="bootstrap resamples for bucket CIs")
-
-    p = sub.add_parser("r3", help="continuous-depth regression and Cox hazard model")
-    common(p, paths=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--lags", type=int, default=6)
-
-    p = sub.add_parser("nulls", help="null-model duration-ratio studies")
-    common(p, paths=True)
-    p.add_argument("--models", type=str, default=",".join(MODELS),
-                   help=f"comma-separated subset of {','.join(MODELS)}")
-    p.add_argument("--paths", dest="n_paths", type=int, default=1_000)
-    p.add_argument("--days", dest="n_days", type=int, default=19_170)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--comparator", type=float, default=1.35, help="empirical median duration ratio")
-
-    p = sub.add_parser("cot", help="companion exposure test (reports not-estimated without input)")
-    common(p)
-    p.add_argument("--input", dest="cot_input", type=Path, default=None,
-                   help="assembled companion CSV (period,exposure,vol)")
-    p.add_argument("--q", type=float, default=0.10)
-    p.add_argument("--lags", type=int, default=6)
-    p.add_argument("--lag-regime", type=int, default=0)
-
-    p = sub.add_parser("simulate-intermediary", help="emit a simulated intermediary panel")
-    common(p)
-    p.add_argument("--agents", type=int, default=50)
-    p.add_argument("--periods", type=int, default=360)
-
-    p = sub.add_parser("run-all", help="chain headline, episodes, r3, nulls, cot")
-    common(p, paths=True, monthly=True)
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--q", type=float, default=0.10)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--lags", type=int, default=6)
-    p.add_argument("--bootstrap-b", type=int, default=10_000)
-    p.add_argument("--models", type=str, default=",".join(MODELS))
-    p.add_argument("--paths", dest="n_paths", type=int, default=1_000)
-    p.add_argument("--days", dest="n_days", type=int, default=19_170)
-    p.add_argument("--comparator", type=float, default=1.35)
-    p.add_argument("--agents", type=int, default=50)
-    p.add_argument("--periods", type=int, default=360)
-
+    defaults = RunConfig()
+    for name, (_, help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            action = p.add_argument(flag, **FLAGS[flag])
+            if "default" not in FLAGS[flag]:
+                action.default = getattr(defaults, action.dest)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    data_dir = args.data_dir
-    if data_dir is None:
-        data_dir = Path(os.environ.get("REGIMELAB_DATA_DIR", "data"))
-    cfg = RunConfig(command=args.command, data_dir=data_dir)
-    for name in (
-        "prices", "monthly", "cot_input", "out", "format", "q", "delta", "lags",
-        "lag_regime", "bootstrap_b", "n_paths", "n_days", "seed", "synthetic",
-        "comparator", "agents", "periods",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "models"):
-        cfg.models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    cfg = RunConfig(**vars(args))
+    if cfg.data_dir is None:
+        cfg.data_dir = Path(os.environ.get("REGIMELAB_DATA_DIR", "data"))
     return cfg
 
 
@@ -464,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import PricePath
-from .resample import BootstrapSpec, percentile_ci_median, stationary_block_indices
+from .resample import percentile_ci_median, stationary_block_indices
 
 BUCKET_EDGES = ((0.05, 0.10), (0.10, 0.20), (0.20, 0.30), (0.30, float("inf")))
 BUCKET_LABELS = ("5-10%", "10-20%", "20-30%", ">30%")
@@ -149,8 +149,8 @@ def _median_or_none(values: list[float]) -> float | None:
     return float(np.median(values)) if values else None
 
 
-def _median_ci(taus: np.ndarray, B: int, rng, mode: str, mean_block: int) -> tuple[float, float]:
-    if mode == "iid":
+def _median_ci(taus: np.ndarray, B: int, rng, mean_block: int) -> tuple[float, float]:
+    if mean_block == 1:
         return percentile_ci_median(taus, B=B, rng=rng)
     medians = np.empty(B)
     for b in range(B):
@@ -160,11 +160,11 @@ def _median_ci(taus: np.ndarray, B: int, rng, mode: str, mean_block: int) -> tup
     return float(lo), float(hi)
 
 
-def _bucket_row(label: str, members: list[Episode], B: int, rng, mode: str, mean_block: int) -> BucketRow:
+def _bucket_row(label: str, members: list[Episode], B: int, rng, mean_block: int) -> BucketRow:
     taus = [e.tau for e in members if not e.censored]
     ci_low = ci_high = None
     if taus:
-        ci_low, ci_high = _median_ci(np.array(taus), B, rng, mode, mean_block)
+        ci_low, ci_high = _median_ci(np.array(taus), B, rng, mean_block)
     return BucketRow(
         label=label,
         n=len(members),
@@ -180,20 +180,22 @@ def bucket_stats(
     episodes: list[Episode],
     bootstrap_B: int = 10_000,
     seed: int = 1,
-    spec: BootstrapSpec | None = None,
+    mean_block: int = 1,
 ) -> list[BucketRow]:
     """Per-magnitude-bucket medians with percentile bootstrap CIs, plus an All row.
 
     Censored episodes never enter the duration-ratio statistics; empty
-    buckets yield n=0 rows with absent statistics. CIs use iid episode-level
-    resampling by default; pass a stationary_block BootstrapSpec to resample
-    contiguous runs of chronologically ordered episodes instead.
+    buckets yield n=0 rows with absent statistics. CIs draw bootstrap_B
+    resamples: iid episode-level resampling when mean_block is 1, otherwise
+    stationary-block resampling of contiguous runs of chronologically ordered
+    episodes with that mean block length.
     """
+    if bootstrap_B < 1:
+        raise ValueError("bootstrap_B must be >= 1")
+    if mean_block < 1:
+        raise ValueError("mean_block must be >= 1")
     if not episodes:
         raise ValueError("episodes must be non-empty")
-    mode, mean_block = "iid", 1
-    if spec is not None:
-        mode, mean_block, bootstrap_B, seed = spec.mode, spec.mean_block, spec.B, spec.seed
     rng = np.random.default_rng(seed)
     ordered = sorted(episodes, key=lambda e: e.peak_idx)
     buckets: list[list[Episode]] = [[] for _ in BUCKET_EDGES]
@@ -202,10 +204,10 @@ def bucket_stats(
         if i is not None:
             buckets[i].append(e)
     rows = [
-        _bucket_row(label, members, bootstrap_B, rng, mode, mean_block)
+        _bucket_row(label, members, bootstrap_B, rng, mean_block)
         for label, members in zip(BUCKET_LABELS, buckets)
     ]
-    rows.append(_bucket_row("all", ordered, bootstrap_B, rng, mode, mean_block))
+    rows.append(_bucket_row("all", ordered, bootstrap_B, rng, mean_block))
     return rows
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -14,24 +12,6 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
     order or in parallel and still reproduce bit-identically.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-
-
-@dataclass(frozen=True)
-class BootstrapSpec:
-    """Resampling configuration: iid or geometric-block, with seed."""
-
-    mode: str = "iid"  # "iid" | "stationary_block"
-    mean_block: int = 1
-    B: int = 10_000
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("iid", "stationary_block"):
-            raise ValueError(f"unknown bootstrap mode {self.mode!r}")
-        if self.mean_block < 1:
-            raise ValueError("mean_block must be >= 1")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
 
 
 def stationary_block_indices(n: int, mean_block: float, rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +47,8 @@ def percentile_ci_median(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("values must be non-empty")
+    if B < 1:
+        raise ValueError("B must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if rng is None:

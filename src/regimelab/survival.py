@@ -42,8 +42,9 @@ def _prepare(durations, events, covariate):
     x = np.asarray(covariate, dtype=float)
     if not (durations.size == events.size == x.size):
         raise ValueError("durations, events, covariate must have equal length")
-    if np.any(durations <= 0):
-        raise ValueError("durations must be positive")
+    # a censored subject may have duration 0: it is never at risk at an event time
+    if np.any(durations < 0) or np.any(durations[events == 1] == 0):
+        raise ValueError("durations must be positive (0 allowed for censored subjects)")
     if not np.all((events == 0) | (events == 1)):
         raise ValueError("events must be 0/1 flags")
     if events.sum() < 2:

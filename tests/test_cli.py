@@ -1,7 +1,11 @@
+import argparse
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from regimelab.cli import main
+from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import read_table
 from regimelab.nullmodels import GbmParams, NullSpec, simulate_path
 
@@ -62,6 +66,16 @@ class TestEpisodesCmd:
         assert [r["delta"] for r in sens] == [0.03, 0.05, 0.1]
         assert (out / "volseries.csv").exists()
 
+    @pytest.mark.parametrize("b", ["0", "-2"])
+    def test_bootstrap_b_below_one(self, tmp_path, gbm_csv, capsys, b):
+        out = tmp_path / "res"
+        rc = main(["episodes", "--prices", str(gbm_csv), "--out", str(out), "--bootstrap-b", b])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bootstrap_B must be >= 1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_prices(self, tmp_path, capsys):
         rc = main(["episodes", "--data-dir", str(tmp_path), "--out", str(tmp_path / "r")])
         assert rc != 0
@@ -77,6 +91,15 @@ class TestR3Cmd:
         assert {r["variant"] for r in depth_rows} == {"full"}
         cox = read_table(out / "cox.csv")[0]
         assert list(cox.keys()) == ["gamma", "se", "z", "p", "hr_per_10pp", "n_events", "n_censored"]
+
+    def test_series_ending_on_open_trough(self, tmp_path):
+        # the censored episode's duration last_idx - trough_idx is 0
+        f = write_price_csv(tmp_path / "p.csv", [100, 90, 101, 80, 102, 70, 103, 95, 90])
+        out = tmp_path / "res"
+        rc = main(["r3", "--prices", str(f), "--out", str(out)])
+        assert rc == 0
+        cox = read_table(out / "cox.csv")[0]
+        assert (cox["n_events"], cox["n_censored"]) == (3, 1)
 
     def test_aborts_on_single_episode(self, tmp_path, capsys):
         down = np.linspace(100, 70, 51)
@@ -205,3 +228,172 @@ class TestRunAll:
                    "--periods", "240", "--agents", "10"])
         assert rc != 0
         assert "sub-command(s) failed" in capsys.readouterr().err
+
+
+# The CLI surface as the hand-written parser declared it: per command, each
+# option string in help order with its (dest, default, type, choices).
+_COMMON = {
+    "--data-dir": ("data_dir", None, Path, None),
+    "--out": ("out", Path("results"), Path, None),
+    "--format": ("format", "csv", None, ("csv", "json")),
+    "--seed": ("seed", 1, int, None),
+}
+# --models was a str defaulting to "gbm,asym_vol,heston,markov_rs,block_bootstrap" that
+# config_from_args split; it is now split by its type, and both give the same
+# RunConfig.models (CONFIG_CASES below).
+_MODELS_FLAG = ("models", ("gbm", "asym_vol", "heston", "markov_rs", "block_bootstrap"), _models, None)
+SURFACE = {
+    "headline": {
+        **_COMMON,
+        "--monthly": ("monthly", None, Path, None),
+        "--synthetic": ("synthetic", False, None, None),
+        "--q": ("q", 0.10, float, None),
+        "--lags": ("lags", 6, int, None),
+        "--lag-regime": ("lag_regime", 0, int, None),
+        "--agents": ("agents", 50, int, None),
+        "--periods": ("periods", 360, int, None),
+    },
+    "episodes": {
+        **_COMMON,
+        "--prices": ("prices", None, Path, None),
+        "--delta": ("delta", 0.05, float, None),
+        "--q": ("q", 0.10, float, None),
+        "--bootstrap-b": ("bootstrap_b", 10_000, int, None),
+    },
+    "r3": {
+        **_COMMON,
+        "--prices": ("prices", None, Path, None),
+        "--delta": ("delta", 0.05, float, None),
+        "--lags": ("lags", 6, int, None),
+    },
+    "nulls": {
+        **_COMMON,
+        "--prices": ("prices", None, Path, None),
+        "--models": _MODELS_FLAG,
+        "--paths": ("n_paths", 1_000, int, None),
+        "--days": ("n_days", 19_170, int, None),
+        "--delta": ("delta", 0.05, float, None),
+        "--comparator": ("comparator", 1.35, float, None),
+    },
+    "cot": {
+        **_COMMON,
+        "--input": ("cot_input", None, Path, None),
+        "--q": ("q", 0.10, float, None),
+        "--lags": ("lags", 6, int, None),
+        "--lag-regime": ("lag_regime", 0, int, None),
+    },
+    "simulate-intermediary": {
+        **_COMMON,
+        "--agents": ("agents", 50, int, None),
+        "--periods": ("periods", 360, int, None),
+    },
+    "run-all": {
+        **_COMMON,
+        "--prices": ("prices", None, Path, None),
+        "--monthly": ("monthly", None, Path, None),
+        "--synthetic": ("synthetic", False, None, None),
+        "--q": ("q", 0.10, float, None),
+        "--delta": ("delta", 0.05, float, None),
+        "--lags": ("lags", 6, int, None),
+        "--bootstrap-b": ("bootstrap_b", 10_000, int, None),
+        "--models": _MODELS_FLAG,
+        "--paths": ("n_paths", 1_000, int, None),
+        "--days": ("n_days", 19_170, int, None),
+        "--comparator": ("comparator", 1.35, float, None),
+        "--agents": ("agents", 50, int, None),
+        "--periods": ("periods", 360, int, None),
+    },
+}
+
+# Help strings the hand-written parser gave; a flag may gain help, not lose or change it.
+HELP = {
+    "--data-dir": "input directory (default: $REGIMELAB_DATA_DIR or ./data)",
+    "--out": "output directory",
+    "--prices": "daily price CSV (date,close)",
+    "--monthly": "monthly panel CSV (month,margin_debt,vix)",
+    "--input": "assembled companion CSV (period,exposure,vol)",
+    "--synthetic": "use the intermediary simulator instead of data",
+    "--q": "stress tail fraction",
+    "--delta": "minimum drawdown depth",
+    "--lags": "Newey-West lag count",
+    "--lag-regime": "lag the stress indicator k months",
+    "--bootstrap-b": "bootstrap resamples for bucket CIs",
+    "--models": "comma-separated subset of gbm,asym_vol,heston,markov_rs,block_bootstrap",
+    "--comparator": "empirical median duration ratio",
+}
+
+RUNCONFIG_DEFAULTS = {
+    "command": "run-all", "data_dir": Path("data"), "prices": None, "monthly": None,
+    "cot_input": None, "out": Path("results"), "format": "csv", "q": 0.10, "delta": 0.05,
+    "lags": 6, "lag_regime": 0, "bootstrap_b": 10_000, "n_paths": 1_000, "n_days": 19_170,
+    "seed": 1, "synthetic": False,
+    "models": ("gbm", "asym_vol", "heston", "markov_rs", "block_bootstrap"),
+    "comparator": 1.35, "agents": 50, "periods": 360,
+}
+
+# argv -> the RunConfig fields that differ from RUNCONFIG_DEFAULTS
+CONFIG_CASES = [
+    (["headline", "--synthetic", "--q", "0.2", "--lags", "4", "--lag-regime", "1", "--agents", "9",
+      "--periods", "120", "--monthly", "m.csv", "--seed", "3"],
+     {"command": "headline", "monthly": Path("m.csv"), "q": 0.2, "lags": 4, "lag_regime": 1,
+      "seed": 3, "synthetic": True, "agents": 9, "periods": 120}),
+    (["episodes", "--prices", "p.csv", "--delta", "0.1", "--q", "0.05", "--bootstrap-b", "50",
+      "--format", "json", "--out", "o"],
+     {"command": "episodes", "prices": Path("p.csv"), "out": Path("o"), "format": "json",
+      "q": 0.05, "delta": 0.1, "bootstrap_b": 50}),
+    (["r3", "--data-dir", "d", "--delta", "0.07", "--lags", "2"],
+     {"command": "r3", "data_dir": Path("d"), "delta": 0.07, "lags": 2}),
+    (["nulls", "--models", "gbm, heston,", "--paths", "7", "--days", "900", "--delta", "0.2",
+      "--comparator", "2.0"],
+     {"command": "nulls", "delta": 0.2, "n_paths": 7, "n_days": 900, "models": ("gbm", "heston"),
+      "comparator": 2.0}),
+    (["cot", "--input", "c.csv", "--q", "0.3", "--lags", "5", "--lag-regime", "2"],
+     {"command": "cot", "cot_input": Path("c.csv"), "q": 0.3, "lags": 5, "lag_regime": 2}),
+    (["simulate-intermediary", "--agents", "4", "--periods", "30", "--seed", "8"],
+     {"command": "simulate-intermediary", "seed": 8, "agents": 4, "periods": 30}),
+    (["run-all"], {}),
+    (["run-all", "--prices", "p.csv", "--monthly", "m.csv", "--synthetic", "--q", "0.2",
+      "--delta", "0.1", "--lags", "3", "--bootstrap-b", "9", "--models", "markov_rs",
+      "--paths", "3", "--days", "300", "--comparator", "1.5", "--agents", "6", "--periods", "60",
+      "--seed", "2", "--data-dir", "dd", "--out", "oo", "--format", "json"],
+     {"data_dir": Path("dd"), "prices": Path("p.csv"), "monthly": Path("m.csv"), "out": Path("oo"),
+      "format": "json", "q": 0.2, "delta": 0.1, "lags": 3, "bootstrap_b": 9, "n_paths": 3,
+      "n_days": 300, "seed": 2, "synthetic": True, "models": ("markov_rs",), "comparator": 1.5,
+      "agents": 6, "periods": 60}),
+]
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestCliSurface:
+    def test_commands(self):
+        assert list(_subparsers()) == list(SURFACE)
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_options_dests_defaults_types(self, command):
+        actions = [a for a in _subparsers()[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        got = {a.option_strings[0]: (a.dest, a.default, a.type, a.choices) for a in actions}
+        assert list(got) == list(SURFACE[command])
+        assert got == SURFACE[command]
+        assert all(len(a.option_strings) == 1 for a in actions)
+
+    def test_help_kept_and_same_everywhere(self):
+        seen = {}
+        for sub in _subparsers().values():
+            for a in sub._actions:
+                if isinstance(a, argparse._HelpAction):
+                    continue
+                flag = a.option_strings[0]
+                if flag in HELP:
+                    assert a.help == HELP[flag]
+                assert seen.setdefault(flag, a.help) == a.help
+
+    @pytest.mark.parametrize("argv,changed", CONFIG_CASES, ids=[c[0][0] for c in CONFIG_CASES])
+    def test_config_from_args(self, argv, changed, monkeypatch):
+        monkeypatch.delenv("REGIMELAB_DATA_DIR", raising=False)
+        cfg = config_from_args(build_parser().parse_args(argv))
+        assert dataclasses.asdict(cfg) == {**RUNCONFIG_DEFAULTS, **changed}

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regimelab.resample import (
-    BootstrapSpec,
     derive_rng,
     percentile_ci_median,
     stationary_block_indices,
@@ -101,15 +100,10 @@ class TestPercentileCiMedian:
         with pytest.raises(ValueError, match="non-empty"):
             percentile_ci_median(np.array([]), B=10)
 
-
-class TestBootstrapSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BootstrapSpec(mode="weird")
-        with pytest.raises(ValueError):
-            BootstrapSpec(mean_block=0)
-        spec = BootstrapSpec(mode="stationary_block", mean_block=63)
-        assert spec.B == 10_000
+    @pytest.mark.parametrize("B", [0, -3])
+    def test_rejects_B_below_one(self, B):
+        with pytest.raises(ValueError, match="B must be >= 1"):
+            percentile_ci_median(np.array([1.0, 2.0]), B=B)
 
 
 class TestDeriveRng:

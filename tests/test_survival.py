@@ -42,9 +42,23 @@ class TestCoxFitErrors:
     def test_nonpositive_duration(self):
         with pytest.raises(ValueError, match="positive"):
             cox_fit([1.0, 0.0], [1, 1], [0.1, 0.2])
+        with pytest.raises(ValueError, match="positive"):
+            cox_fit([1.0, 2.0, -1.0], [1, 1, 0], [0.1, 0.2, 0.3])
 
 
 class TestCoxFitInvariances:
+    def test_censored_at_zero_duration_leaves_fit(self):
+        # a series that ends on the trough of an open drawdown censors at duration 0
+        rng = np.random.default_rng(5)
+        d, e, x = synth_dataset(rng, n=30, censor_frac=0.2)
+        base = cox_fit(d, e, x)
+        fit = cox_fit(np.append(d, 0.0), np.append(e, 0), np.append(x, 0.45))
+        assert fit.gamma == pytest.approx(base.gamma, rel=1e-9, abs=1e-12)
+        assert fit.se == pytest.approx(base.se, rel=1e-9)
+        assert fit.loglik == pytest.approx(base.loglik, rel=1e-9)
+        assert fit.n_events == base.n_events
+        assert fit.n_censored == base.n_censored + 1
+
     def test_duration_rescaling_leaves_gamma(self):
         rng = np.random.default_rng(3)
         d, e, x = synth_dataset(rng, n=40)
