@@ -211,15 +211,16 @@ def cmd_r3(cfg: RunConfig) -> int:
         rows += [{"variant": "excl_1980-11", **r} for r in fit_x.rows()]
     else:
         print("r3: no 1980-11 peak episode in this sample; exclude-one variant skipped")
-    _write(cfg, "r3_depth", rows)
-    beta = fit.coef[1]
-    print(f"r3 depth regression: beta = {beta:+.4f} (p = {fit.p[1]:.4g}) on {fit.nobs} episodes")
-
     last_idx = len(path) - 1
     durations = [e.t_rec if not e.censored else last_idx - e.trough_idx for e in eps]
     events = [0 if e.censored else 1 for e in eps]
     depth = [e.depth for e in eps]
     cox = cox_fit(durations, events, depth)
+
+    # every fit above runs before any table is written, so a failure leaves no files
+    _write(cfg, "r3_depth", rows)
+    beta = fit.coef[1]
+    print(f"r3 depth regression: beta = {beta:+.4f} (p = {fit.p[1]:.4g}) on {fit.nobs} episodes")
     _write(cfg, "cox", [cox.row()])
     print(
         f"cox: gamma = {cox.gamma:+.4f} (se {cox.se:.4f}, z {cox.z:+.3f}), "
@@ -230,9 +231,11 @@ def cmd_r3(cfg: RunConfig) -> int:
 
 def cmd_nulls(cfg: RunConfig) -> int:
     models = list(cfg.models)
+    if not models:
+        raise ValueError(f"--models names no model; choose from {','.join(MODELS)}")
     bad = [m for m in models if m not in MODELS]
     if bad:
-        raise ValueError(f"unknown models {bad}; choose from {MODELS}")
+        raise ValueError(f"--models: unknown models {bad}; choose from {','.join(MODELS)}")
     returns = None
     price_file = cfg.price_path()
     if "block_bootstrap" in models:

@@ -2,12 +2,16 @@
 
 Input schemas
 -------------
-prices  : header ``date,close``        ISO-8601 dates, positive closes
-monthly : header ``month,margin_debt,vix``  months ``YYYY-MM``, no gaps
+prices   : header ``date,close``               dates ``YYYY-MM-DD``, positive closes
+monthly  : header ``month,margin_debt,vix``    months ``YYYY-MM``, no gaps
+exposure : header ``period,exposure,vol``      period labels, sorted lexicographically
+
+All three are read by ``_read_csv`` under one rule set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import warnings
@@ -21,6 +25,8 @@ from . import timeseries
 
 PRICE_HEADER = ["date", "close"]
 MONTHLY_HEADER = ["month", "margin_debt", "vix"]
+EXPOSURE_HEADER = ["period", "exposure", "vol"]
+_KEY_FORMS = {"D": "YYYY-MM-DD", "M": "YYYY-MM", None: "a non-empty label other than NaT"}
 
 
 @dataclass(frozen=True)
@@ -84,138 +90,102 @@ class MonthlyPanel:
         return len(self.months)
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> list[list[str]]:
+def _read_csv(
+    path: str | Path, header: list[str], unit: str | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read a ``key,value,...`` input CSV; the one parser for every input file.
+
+    Returns the keys (``datetime64[unit]``, or strings when ``unit`` is None)
+    and one float array per value column, sorted by key. A UTF-8 BOM,
+    whitespace around fields and blank lines are ignored. Each row needs one
+    field per header column; a key must be non-empty, not NaT, and read back
+    exactly as written; a value must be a positive finite number; keys must be
+    unique. Out-of-order rows are sorted with a warning. Row errors name the
+    file line, the header being line 1.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        got = [h.strip() for h in next(reader, [])]
+        if got != header:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}")
+        rows, lines = [], []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        return [row for row in reader if row]
+            for row in filter(None, reader):
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    for row, line in zip(rows, lines):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line}: expected {len(header)} fields, got {len(row)}")
+
+    text, cols = [], []  # column by column, to keep no rows x fields copy
+    for j, dtype in enumerate([f"datetime64[{unit}]" if unit else str] + [float] * (len(header) - 1)):
+        text.append([row[j].strip() for row in rows])
+        try:
+            cols.append(np.array(text[j], dtype=dtype))
+        except ValueError:  # each field that does not parse becomes NaT/NaN, named below
+            cols.append(np.full(len(rows), np.nan, dtype))
+            for i, field in enumerate(text[j]):
+                with contextlib.suppress(ValueError):
+                    cols[j][i] = field
+    del rows
+    keys, values = cols[0], cols[1:]
+    back = keys.astype(str)
+    bad = np.column_stack(
+        [(back != np.array(text[0])) | (back == "") | (back == "NaT")]
+        + [~(np.isfinite(v) & (v > 0)) for v in values]
+    )
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        want = _KEY_FORMS[unit] if j == 0 else "a positive finite number"
+        raise ValueError(f"{path}: row {lines[i]}: bad {header[j]} {text[j][i]!r}, want {want}")
+
+    n_unsorted = int(np.sum(keys[1:] < keys[:-1]))
+    if n_unsorted:
+        order = np.argsort(keys, kind="stable")
+        keys, values, lines = keys[order], [v[order] for v in values], np.array(lines)[order]
+        warnings.warn(f"{path}: {n_unsorted} out-of-order rows were sorted by {header[0]}")
+    dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if dup.size:
+        raise ValueError(f"{path}: row {lines[dup[0]]}: duplicate {header[0]} {keys[dup[0]]}")
+    return keys, values
 
 
 def load_price_csv(path: str | Path) -> PricePath:
-    """Load and validate a ``date,close`` daily price file.
-
-    Out-of-order rows are sorted with a warning; duplicate dates and
-    non-positive closes are fatal, with the offending file row named.
-    """
-    rows = _read_rows(path, PRICE_HEADER)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 price rows, got {len(rows)}")
-    dates = np.empty(len(rows), dtype="datetime64[D]")
-    closes = np.empty(len(rows), dtype=float)
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
-        if len(row) != 2:
-            raise ValueError(f"{path}: row {line_no}: expected 2 fields, got {len(row)}")
-        try:
-            dates[i] = np.datetime64(row[0].strip(), "D")
-        except ValueError:
-            raise ValueError(f"{path}: row {line_no}: bad ISO date {row[0]!r}") from None
-        try:
-            closes[i] = float(row[1])
-        except ValueError:
-            raise ValueError(f"{path}: row {line_no}: bad close {row[1]!r}") from None
-        if not np.isfinite(closes[i]) or closes[i] <= 0:
-            raise ValueError(f"{path}: row {line_no}: non-positive close {row[1]}")
-
-    n_unsorted = int(np.sum(np.diff(dates).astype(int) < 0))
-    if n_unsorted > 0:
-        order = np.argsort(dates, kind="stable")
-        dates, closes = dates[order], closes[order]
-        warnings.warn(f"{path}: {n_unsorted} out-of-order rows were sorted by date")
-    dup = np.flatnonzero(np.diff(dates).astype(int) == 0)
-    if dup.size > 0:
-        raise ValueError(f"{path}: duplicate date {dates[dup[0] + 1]}")
+    """Load and validate a ``date,close`` daily price file (rules: _read_csv)."""
+    dates, (closes,) = _read_csv(path, PRICE_HEADER, "D")
+    if dates.size < 2:
+        raise ValueError(f"{path}: need at least 2 price rows, got {dates.size}")
     return PricePath(dates, closes)
 
 
-def _month_add(month: str, k: int) -> str:
-    y, m = int(month[:4]), int(month[5:7])
-    m0 = (y * 12 + (m - 1)) + k
-    return f"{m0 // 12:04d}-{m0 % 12 + 1:02d}"
-
-
 def load_monthly_csv(path: str | Path) -> MonthlyTable:
-    """Load and validate a ``month,margin_debt,vix`` monthly file.
+    """Load and validate a ``month,margin_debt,vix`` monthly file (rules: _read_csv).
 
-    Months must be unique and, after sorting, gap-free; missing months are
-    listed in the error.
+    After sorting, months must also be gap-free; missing months are listed in
+    the error.
     """
-    rows = _read_rows(path, MONTHLY_HEADER)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    months: list[str] = []
-    margin = np.empty(len(rows), dtype=float)
-    vol = np.empty(len(rows), dtype=float)
-    for i, row in enumerate(rows):
-        line_no = i + 2
-        if len(row) != 3:
-            raise ValueError(f"{path}: row {line_no}: expected 3 fields, got {len(row)}")
-        m = row[0].strip()
-        if len(m) != 7 or m[4] != "-" or not (m[:4].isdigit() and m[5:].isdigit()):
-            raise ValueError(f"{path}: row {line_no}: bad month {row[0]!r}, want YYYY-MM")
-        if not 1 <= int(m[5:7]) <= 12:
-            raise ValueError(f"{path}: row {line_no}: bad month {row[0]!r}")
-        months.append(m)
-        for col, j, name in ((margin, 1, "margin_debt"), (vol, 2, "vix")):
-            try:
-                col[i] = float(row[j])
-            except ValueError:
-                raise ValueError(f"{path}: row {line_no}: bad {name} {row[j]!r}") from None
-            if not np.isfinite(col[i]) or col[i] <= 0:
-                raise ValueError(f"{path}: row {line_no}: non-positive {name} {row[j]}")
-
-    if len(set(months)) != len(months):
-        seen: set[str] = set()
-        dup = next(m for m in months if m in seen or seen.add(m))
-        raise ValueError(f"{path}: duplicate month {dup}")
-    order = sorted(range(len(months)), key=lambda i: months[i])
-    if order != list(range(len(months))):
-        n_unsorted = sum(1 for a, b in zip(months, months[1:]) if b < a)
-        warnings.warn(f"{path}: {n_unsorted} out-of-order rows were sorted by month")
-        months = [months[i] for i in order]
-        margin, vol = margin[order], vol[order]
-    missing = []
-    for a, b in zip(months, months[1:]):
-        nxt = _month_add(a, 1)
-        while nxt < b:
-            missing.append(nxt)
-            nxt = _month_add(nxt, 1)
-    if missing:
-        raise ValueError(f"{path}: monthly sequence has gaps; missing: {', '.join(missing)}")
-    return MonthlyTable(months, margin, vol)
+    months, (margin, vix) = _read_csv(path, MONTHLY_HEADER, "M")
+    missing = np.setdiff1d(np.arange(months[0], months[-1] + 1), months)
+    if missing.size:
+        raise ValueError(f"{path}: monthly sequence has gaps; missing: {', '.join(missing.astype(str))}")
+    return MonthlyTable(months.astype(str).tolist(), margin, vix)
 
 
 def load_exposure_csv(path: str | Path) -> MonthlyTable:
-    """Generic ``period,exposure,vol`` loader (no gap rule; any frequency).
+    """Generic ``period,exposure,vol`` loader (rules: _read_csv; no gap rule, any frequency).
 
     Used for the companion exposure test; periods sort lexicographically,
     so use ISO dates or YYYY-MM identifiers.
     """
-    rows = _read_rows(path, ["period", "exposure", "vol"])
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    periods = [r[0].strip() for r in rows]
-    if len(set(periods)) != len(periods):
-        raise ValueError(f"{path}: duplicate periods")
-    try:
-        exposure = np.array([float(r[1]) for r in rows])
-        vol = np.array([float(r[2]) for r in rows])
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}: malformed numeric fields") from None
-    if np.any(exposure <= 0) or np.any(vol <= 0):
-        raise ValueError(f"{path}: exposure and vol must be strictly positive")
-    order = sorted(range(len(periods)), key=lambda i: periods[i])
-    return MonthlyTable([periods[i] for i in order], exposure[order], vol[order])
+    periods, (exposure, vol) = _read_csv(path, EXPOSURE_HEADER, None)
+    return MonthlyTable(periods.tolist(), exposure, vol)
 
 
 def build_panel(

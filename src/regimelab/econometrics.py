@@ -70,8 +70,8 @@ def ols_hac(
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more observations ({n}) than regressors ({k})")
-    if lags < 0:
-        raise ValueError("lags must be >= 0")
+    if not 0 <= lags < n:
+        raise ValueError(f"lags ({lags}) must be >= 0 and below the number of observations ({n})")
     if names is None:
         names = tuple(f"x{i}" for i in range(k))
 
@@ -87,8 +87,6 @@ def ols_hac(
     Z = X * u[:, None]
     S = Z.T @ Z
     for lag in range(1, lags + 1):
-        if lag >= n:
-            break
         w = 1.0 - lag / (lags + 1.0)
         G = Z[lag:].T @ Z[:-lag]
         S += w * (G + G.T)

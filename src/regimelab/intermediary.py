@@ -133,9 +133,7 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
 
 def to_monthly_table(panel: SimulatedPanel, start_month: str = "1995-01") -> MonthlyTable:
     """Expose the simulated aggregate as a monthly exposure table."""
-    y, m = int(start_month[:4]), int(start_month[5:7])
-    base = y * 12 + (m - 1)
-    months = [f"{(base + t) // 12:04d}-{(base + t) % 12 + 1:02d}" for t in range(panel.vol.size)]
+    months = (np.datetime64(start_month, "M") + np.arange(panel.vol.size)).astype(str).tolist()
     return MonthlyTable(months, panel.aggregate.copy(), panel.vol.copy())
 
 

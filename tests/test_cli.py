@@ -94,12 +94,32 @@ class TestR3Cmd:
 
     def test_series_ending_on_open_trough(self, tmp_path):
         # the censored episode's duration last_idx - trough_idx is 0
+        # 3 completed episodes support at most 2 Newey-West lags
         f = write_price_csv(tmp_path / "p.csv", [100, 90, 101, 80, 102, 70, 103, 95, 90])
         out = tmp_path / "res"
-        rc = main(["r3", "--prices", str(f), "--out", str(out)])
+        rc = main(["r3", "--prices", str(f), "--out", str(out), "--lags", "2"])
         assert rc == 0
         cox = read_table(out / "cox.csv")[0]
         assert (cox["n_events"], cox["n_censored"]) == (3, 1)
+
+    # three completed episodes whose Cox partial likelihood is monotone (perfect separation)
+    FLAT_TROUGHS = [100, 90, 90, 90, 90, 101, 80, 80, 102, 70, 103]
+
+    def test_lags_not_below_episode_count_fails(self, tmp_path, capsys):
+        f = write_price_csv(tmp_path / "p.csv", self.FLAT_TROUGHS)
+        out = tmp_path / "res"
+        rc = main(["r3", "--prices", str(f), "--out", str(out)])
+        assert rc == 1
+        assert "lags (6) must be >= 0 and below the number of observations (3)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cox_failure_writes_no_table(self, tmp_path, capsys):
+        f = write_price_csv(tmp_path / "p.csv", self.FLAT_TROUGHS)
+        out = tmp_path / "res"
+        rc = main(["r3", "--prices", str(f), "--out", str(out), "--lags", "1"])
+        assert rc == 1
+        assert "perfect separation" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_aborts_on_single_episode(self, tmp_path, capsys):
         down = np.linspace(100, 70, 51)
@@ -155,6 +175,16 @@ class TestNullsCmd:
         assert rc != 0
 
 
+    @pytest.mark.parametrize("models", ["", ","])
+    def test_no_model_names_flag(self, tmp_path, capsys, models):
+        out = tmp_path / "r"
+        rc = main(["nulls", "--models", models, "--out", str(out), "--data-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--models" in err and "gbm,asym_vol,heston,markov_rs,block_bootstrap" in err
+        assert not out.exists()
+
+
 class TestCotCmd:
     def test_reports_not_estimated(self, capsys, tmp_path):
         rc = main(["cot", "--out", str(tmp_path / "r")])
@@ -180,6 +210,21 @@ class TestCotCmd:
         assert rc == 0
         assert "companion - not a paper claim" in capsys.readouterr().out
         assert (out / "cot_companion.csv").exists()
+
+
+    def test_nan_exposure_names_row(self, tmp_path, capsys):
+        vol = 15 + 8 * np.random.default_rng(2).random(60)
+        lines = ["period,exposure,vol"] + [
+            f"{np.datetime64('2006-09-15') + 7 * i},{100.0 + i},{float(v)!r}" for i, v in enumerate(vol)
+        ]
+        lines[6] = lines[6].replace(",105.0,", ",nan,")
+        f = tmp_path / "cot.csv"
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "res"
+        rc = main(["cot", "--input", str(f), "--out", str(out)])
+        assert rc == 1
+        assert "row 7: bad exposure 'nan'" in capsys.readouterr().err
+        assert not (out / "cot_companion.csv").exists()
 
 
 class TestSimulateIntermediaryCmd:

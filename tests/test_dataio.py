@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regimelab.dataio import (
     MonthlyPanel,
@@ -198,3 +202,160 @@ class TestPanel:
                 threshold=2.5,
                 q=0.10,
             )
+
+
+# kind -> (loader, header, first key, key step); keys are consecutive, so every
+# generated file also passes the monthly gap rule
+SCHEMAS = {
+    "price": (load_price_csv, "date,close", np.datetime64("2020-01-02"), 1),
+    "monthly": (load_monthly_csv, "month,margin_debt,vix", np.datetime64("2019-11"), 1),
+    "exposure": (load_exposure_csv, "period,exposure,vol", np.datetime64("2020-01-03"), 7),
+}
+
+
+def good_lines(kind, values=None, n=5):
+    """Header plus one valid row per tuple of values (default: n rows)."""
+    _, header, start, step = SCHEMAS[kind]
+    width = header.count(",")
+    if values is None:
+        values = [tuple(100.0 + i + j for j in range(width)) for i in range(n)]
+    return [header] + [",".join([str(start + step * i), *map(repr, row)]) for i, row in enumerate(values)]
+
+
+def loaded(kind, path):
+    """The loader's result as plain lists, for equality checks."""
+    return [np.asarray(f).tolist() for f in dataclasses.astuple(SCHEMAS[kind][0](path))]
+
+
+def replace_field(line, j, text):
+    fields = line.split(",")
+    fields[j] = text
+    return ",".join(fields)
+
+
+class TestOneRuleSet:
+    """The three loaders share one reader and so one set of rules."""
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    def test_utf8_bom_accepted(self, tmp_path, kind):
+        lines = good_lines(kind)
+        plain = write_lines(tmp_path / "a.csv", lines)
+        bom = tmp_path / "b.csv"
+        bom.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert loaded(kind, bom) == loaded(kind, plain)
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_wrong_field_count_names_row(self, tmp_path, kind, change):
+        lines = good_lines(kind)
+        width = lines[0].count(",") + 1
+        lines[2] = lines[2].rsplit(",", 1)[0] if change == "short" else lines[2] + ",1"
+        got = width - 1 if change == "short" else width + 1
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.raises(ValueError, match=rf"row 3: expected {width} fields, got {got}"):
+            SCHEMAS[kind][0](f)
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    @pytest.mark.parametrize("key", ["", "NaT", "  "])
+    def test_missing_key_names_row(self, tmp_path, kind, key):
+        lines = good_lines(kind)
+        lines[3] = replace_field(lines[3], 0, key)
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.raises(ValueError, match="row 4: bad"):
+            SCHEMAS[kind][0](f)
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "", "0", "-2.5", "x"])
+    def test_bad_value_names_row(self, tmp_path, kind, value):
+        lines = good_lines(kind)
+        lines[2] = replace_field(lines[2], -1, value)
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.raises(ValueError, match="row 3: bad .*positive finite number"):
+            SCHEMAS[kind][0](f)
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("price", "2020-01"), ("price", "20200104"), ("price", "2020-01-04T12"),
+         ("monthly", "2020-1"), ("monthly", "2020-01-01"), ("monthly", "2020-13")],
+    )
+    def test_key_must_read_back_as_written(self, tmp_path, kind, key):
+        lines = good_lines(kind)
+        lines[4] = replace_field(lines[4], 0, key)
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.raises(ValueError, match="row 5: bad"):
+            SCHEMAS[kind][0](f)
+
+    def test_duplicate_period_names_row(self, tmp_path):
+        lines = good_lines("exposure")
+        lines[4] = replace_field(lines[4], 0, lines[1].split(",")[0])
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.warns(UserWarning, match="sorted by period"):
+            with pytest.raises(ValueError, match="row 5: duplicate period 2020-01-03"):
+                load_exposure_csv(f)
+
+    def test_oversized_field_names_row(self, tmp_path):
+        lines = good_lines("price")
+        lines[3] = replace_field(lines[3], 1, "1" * 200_000)
+        f = write_lines(tmp_path / "f.csv", lines)
+        with pytest.raises(ValueError, match="row 4: field larger than field limit"):
+            load_price_csv(f)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        lines = good_lines("price")
+        lines.insert(2, "")
+        f = write_lines(tmp_path / "f.csv", lines)
+        assert len(load_price_csv(f)) == 5
+        lines[5] = replace_field(lines[5], 1, "nan")
+        write_lines(f, lines)
+        with pytest.raises(ValueError, match="row 6: bad close"):
+            load_price_csv(f)
+
+
+CLEAN = ("crlf", "bom", "space")
+BREAKING = ("short", "long", "value", "key")
+
+
+class TestFuzz:
+    """A perturbed valid file loads as the original did, or the error names the perturbed line."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), kind=st.sampled_from(sorted(SCHEMAS)), n=st.integers(2, 8),
+           change=st.sampled_from(CLEAN + BREAKING))
+    def test_perturbed_file(self, tmp_path, data, kind, n, change):
+        width = SCHEMAS[kind][1].count(",")
+        positive = st.floats(min_value=1e-6, max_value=1e12)
+        values = data.draw(st.lists(st.tuples(*[positive] * width), min_size=n, max_size=n))
+        lines = good_lines(kind, values)
+        f = tmp_path / "f.csv"
+        write_lines(f, lines)
+        expected = loaded(kind, f)
+
+        r = data.draw(st.integers(0 if change == "space" else 1, n))
+        text = "\n".join(lines) + "\n"
+        if change == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif change == "bom":
+            text = "\ufeff" + text
+        else:
+            fields = lines[r].split(",")
+            if change == "space":
+                pad = st.sampled_from([" ", "\t", "  "])
+                fields = [data.draw(pad) + x + data.draw(pad) for x in fields]
+            elif change == "short":
+                fields = fields[:-1]
+            elif change == "long":
+                fields.append("1.0")
+            elif change == "value":
+                j = data.draw(st.integers(1, width))
+                fields[j] = data.draw(st.sampled_from(["nan", "inf", "", "NaN", "-1", "0"]))
+            else:
+                fields[0] = data.draw(st.sampled_from(["", "NaT", " "]))
+            lines[r] = ",".join(fields)
+            text = "\n".join(lines) + "\n"
+        f.write_text(text, encoding="utf-8")
+
+        if change in CLEAN:
+            assert loaded(kind, f) == expected
+        else:
+            with pytest.raises(ValueError, match=rf"row {r + 1}\b"):
+                SCHEMAS[kind][0](f)

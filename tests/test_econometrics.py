@@ -61,6 +61,13 @@ class TestOlsHac:
         order = np.argsort(np.abs(fit.t))
         assert np.all(np.diff(fit.p[order]) <= 1e-15)
 
+    def test_lags_not_below_nobs_rejected(self):
+        rng = np.random.default_rng(19)
+        y, X = random_instance(rng, n=5, k=2)
+        with pytest.raises(ValueError, match=r"lags \(5\).*observations \(5\)"):
+            ols_hac(y, X, lags=5)
+        assert ols_hac(y, X, lags=4).lags == 4
+
     def test_rank_deficient_names_column(self):
         X = np.column_stack([np.ones(30), np.arange(30.0), 2.0 * np.arange(30.0)])
         with pytest.raises(ValueError, match="dup"):
@@ -159,7 +166,7 @@ class TestDepthRegression:
         eps = [self.fake_episode(i, d, float(np.exp(d))) for i, d in enumerate([0.1, 0.2, 0.3, 0.4])]
         eps.append(Episode(100, 105, None, 0.5, 0.5, 5, None, None, True))
         with pytest.warns(UserWarning, match="excluded 1 censored"):
-            fit = depth_regression(eps)
+            fit = depth_regression(eps, lags=3)  # 4 episodes support at most 3 lags
         assert fit.nobs == 4
 
     def test_too_few_episodes(self):
