@@ -22,16 +22,6 @@ from .dataio import PricePath
 from .episodes import _episodes_from_closes
 from .resample import derive_rng, stationary_block_indices
 
-try:  # optional compiled kernels for the sequential recurrences
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        def wrap(f):
-            return f
-        return wrap
-
 DT = 1.0 / 252.0
 P0 = 100.0
 
@@ -179,71 +169,77 @@ class NullStudySummary:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels (sequential recurrences; jitted when numba is available)
+# Step kernels. The sequential recurrences loop over memoryviews, which yield
+# and store plain floats (no numpy scalar per element) with the same IEEE
+# arithmetic; the markov_rs chain is a vectorised scan.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):  # pragma: no cover - jitted
-    n = z.size
-    r = np.empty(n)
+def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):
+    r = np.empty(z.size)
+    out = memoryview(r)
+    exp = math.exp
     sqdt = math.sqrt(dt)
     sigma = sigma_base
-    for t in range(n):
-        if t > 0:
-            sigma = sigma_base * math.exp(gamma * r[t - 1])
-            if sigma < floor:
-                sigma = floor
-            elif sigma > cap:
-                sigma = cap
-        r[t] = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * z[t]
+    for t, zt in enumerate(memoryview(z)):
+        step = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * zt
+        out[t] = step
+        # volatility for the next step, from this step's log return
+        sigma = sigma_base * exp(gamma * step)
+        if sigma < floor:
+            sigma = floor
+        elif sigma > cap:
+            sigma = cap
     return r
 
 
-@njit(cache=True)
-def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):  # pragma: no cover - jitted
+def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
     n = z1.size
     steps = np.empty(n)
     v_used = np.empty(n)  # floored variance driving each price step
-    sqdt = math.sqrt(dt)
+    out_steps, out_v = memoryview(steps), memoryview(v_used)
+    sqrt = math.sqrt
+    sqdt = sqrt(dt)
+    milstein = 0.25 * xi * xi
     v = v0
     n_degenerate = 0
-    for t in range(n):
+    for t, (a, b) in enumerate(zip(memoryview(z1), memoryview(z2))):
         vplus = v if v > 0.0 else 0.0
-        v_used[t] = vplus
+        out_v[t] = vplus
         if vplus <= eps_v:
             n_degenerate += 1
-        steps[t] = (mu - 0.5 * vplus) * dt + math.sqrt(vplus) * sqdt * z1[t]
+        out_steps[t] = (mu - 0.5 * vplus) * dt + sqrt(vplus) * sqdt * a
         v = (
             v
             + kappa * (vbar - vplus) * dt
-            + xi * math.sqrt(vplus * dt) * z2[t]
-            + 0.25 * xi * xi * (dt * z2[t] * z2[t] - dt)
+            + xi * sqrt(vplus * dt) * b
+            + milstein * (dt * b * b - dt)
         )
         if v < 0.0:
             v = 0.0
     return steps, v_used, n_degenerate
 
 
-@njit(cache=True)
-def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):  # pragma: no cover - jitted
+def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
+    """Two-state chain (0 = bull, 1 = bear) driven by u, and its log returns.
+
+    Step t leaves bull if u[t] >= p11 and bear if u[t] >= p22. When exactly
+    one holds the new state is bear iff u[t] >= p11, whatever it was; when
+    both hold the state flips. So the state is the one set by the last
+    one-sided step (state0 before any), flipped once per two-sided step since.
+    """
     n = z.size
-    steps = np.empty(n)
+    leave_bull = u >= p11
+    leave_bear = u >= p22
+    # index 0 stands for the start: a one-sided step that sets state0
+    value = np.concatenate(([state0], leave_bull))
+    one_sided = np.concatenate(([True], leave_bull != leave_bear))
+    flips = np.cumsum(np.concatenate(([False], leave_bull & leave_bear)))
+    last = np.maximum.accumulate(np.where(one_sided, np.arange(n + 1), 0))
+    bear = ((value[last] + flips - flips[last]) & 1)[1:].astype(bool)
     sqdt = math.sqrt(dt)
-    state = state0  # 0 = bull, 1 = bear
-    n_bull = 0
-    for t in range(n):
-        if state == 0:
-            if u[t] >= p11:
-                state = 1
-        else:
-            if u[t] >= p22:
-                state = 0
-        if state == 0:
-            n_bull += 1
-            steps[t] = (mu1 - 0.5 * s1 * s1) * dt + s1 * sqdt * z[t]
-        else:
-            steps[t] = (mu2 - 0.5 * s2 * s2) * dt + s2 * sqdt * z[t]
-    return steps, n_bull
+    drift = np.where(bear, (mu2 - 0.5 * s2 * s2) * dt, (mu1 - 0.5 * s1 * s1) * dt)
+    steps = drift + np.where(bear, s2 * sqdt, s1 * sqdt) * z
+    return steps, n - int(np.count_nonzero(bear))
 
 
 def _simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
@@ -303,9 +299,9 @@ def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySum
     """Distribution of per-path median duration ratios against a comparator.
 
     For each accepted path, episodes are detected at spec.delta and the
-    median per-episode duration ratio is taken; paths with no completed
-    episode are excluded from the medians but counted. The one-sided p-value
-    is the fraction of accepted paths whose median reaches the comparator.
+    median per-episode duration ratio is taken. p_one_sided is a share of
+    all accepted paths (one with no completed episode never reaches the
+    comparator); median_tau, q05 and q95 use only paths with an episode.
     """
     if comparator_tau <= 0:
         raise ValueError("comparator_tau must be positive")

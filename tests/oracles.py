@@ -116,3 +116,68 @@ def grid_search_gamma(durations, events, x, lo=-30.0, hi=5.0, step=0.01):
         ll += grid * sum(x[i] for i in d_set)
         ll -= len(d_set) * np.log(np.exp(np.outer(grid, x[r_set])).sum(axis=1))
     return float(grid[int(np.argmax(ll))])
+
+
+# The null-model step recurrences as scalar loops that index numpy arrays one
+# element at a time: the form the library ran before its kernels were rewritten
+# over plain floats (asym_vol, heston) and as a vectorised state scan (markov_rs).
+
+def asym_vol_steps_reference(z, dt, mu, sigma_base, gamma, floor, cap):
+    n = z.size
+    r = np.empty(n)
+    sqdt = math.sqrt(dt)
+    sigma = sigma_base
+    for t in range(n):
+        if t > 0:
+            sigma = sigma_base * math.exp(gamma * r[t - 1])
+            if sigma < floor:
+                sigma = floor
+            elif sigma > cap:
+                sigma = cap
+        r[t] = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * z[t]
+    return r
+
+
+def heston_steps_reference(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
+    n = z1.size
+    steps = np.empty(n)
+    v_used = np.empty(n)  # floored variance driving each price step
+    sqdt = math.sqrt(dt)
+    v = v0
+    n_degenerate = 0
+    for t in range(n):
+        vplus = v if v > 0.0 else 0.0
+        v_used[t] = vplus
+        if vplus <= eps_v:
+            n_degenerate += 1
+        steps[t] = (mu - 0.5 * vplus) * dt + math.sqrt(vplus) * sqdt * z1[t]
+        v = (
+            v
+            + kappa * (vbar - vplus) * dt
+            + xi * math.sqrt(vplus * dt) * z2[t]
+            + 0.25 * xi * xi * (dt * z2[t] * z2[t] - dt)
+        )
+        if v < 0.0:
+            v = 0.0
+    return steps, v_used, n_degenerate
+
+
+def markov_steps_reference(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
+    n = z.size
+    steps = np.empty(n)
+    sqdt = math.sqrt(dt)
+    state = state0  # 0 = bull, 1 = bear
+    n_bull = 0
+    for t in range(n):
+        if state == 0:
+            if u[t] >= p11:
+                state = 1
+        else:
+            if u[t] >= p22:
+                state = 0
+        if state == 0:
+            n_bull += 1
+            steps[t] = (mu1 - 0.5 * s1 * s1) * dt + s1 * sqdt * z[t]
+        else:
+            steps[t] = (mu2 - 0.5 * s2 * s2) * dt + s2 * sqdt * z[t]
+    return steps, n_bull

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import asym_vol_steps_reference, heston_steps_reference, markov_steps_reference
+from regimelab.episodes import detect_episodes
 from regimelab.nullmodels import (
     DT,
     AsymVolParams,
@@ -11,6 +15,7 @@ from regimelab.nullmodels import (
     HestonParams,
     MarkovRsParams,
     NullSpec,
+    _asym_vol_steps,
     _heston_steps,
     _markov_steps,
     run_null_study,
@@ -179,10 +184,101 @@ class TestRunNullStudy:
             run_null_study(spec, 0.0)
 
     def test_zero_episode_paths_counted(self):
-        spec = NullSpec("gbm", GbmParams(mu=0.3, sigma=0.02), n_days=300, n_paths=10, seed=2)
-        # strong drift, tiny vol: most paths never draw down 5%
-        try:
-            s = run_null_study(spec, 1.35)
-            assert s.n_zero_episode > 0
-        except ValueError as exc:
-            assert "no completed episodes" in str(exc)
+        # modest drift and vol over 300 days: 3 of 10 paths never complete a 5% episode
+        spec = NullSpec("gbm", GbmParams(mu=0.2, sigma=0.1), n_days=300, n_paths=10, seed=3)
+        s = run_null_study(spec, 1.35)
+        medians = []
+        for i in range(spec.n_paths):
+            eps = detect_episodes(simulate_path(spec, i), spec.delta)
+            if eps:
+                medians.append(float(np.median([e.tau for e in eps])))
+        assert s.n_accepted == 10
+        assert s.n_zero_episode == 10 - len(medians) > 0
+        # p counts every accepted path; the median and quantiles only paths with an episode
+        assert s.p_one_sided == sum(m >= 1.35 for m in medians) / s.n_accepted
+        assert s.median_tau == float(np.median(medians))
+
+
+KERNEL_CASES = [(seed, n) for seed in range(5) for n in (19_169, 2_519)]
+
+
+def _draws(seed, n):
+    rng = derive_rng(seed, 0)
+    return rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
+
+
+@st.composite
+def _markov_inputs(draw):
+    p11 = draw(st.floats(0.01, 0.99))
+    p22 = draw(st.one_of(st.just(p11), st.floats(0.01, 0.99)))
+    lo, hi = min(p11, p22), max(p11, p22)
+    u_at_or_above_hi = st.floats(hi, 1.0, exclude_max=True)
+    kind = draw(st.sampled_from(["any", "no_one_sided_step", "every_step_flips"]))
+    if kind == "any":  # ties with p11 and p22 exercise the >= comparison
+        u_elem = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([p11, p22]))
+    elif kind == "no_one_sided_step":
+        u_elem = st.one_of(st.floats(0.0, lo, exclude_max=True), u_at_or_above_hi)
+    else:
+        u_elem = u_at_or_above_hi
+    u = np.array(draw(st.lists(u_elem, min_size=1, max_size=200)))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(u.size)
+    return z, u, p11, p22, draw(st.sampled_from([0, 1]))
+
+
+class TestKernelsAgainstReference:
+    """The step kernels reproduce the scalar loops in tests/oracles.py exactly."""
+
+    @pytest.mark.parametrize("seed,n", KERNEL_CASES)
+    @pytest.mark.parametrize("gamma", [AsymVolParams().gamma_lev, -50.0])
+    def test_asym_vol(self, seed, n, gamma):
+        p = AsymVolParams(gamma_lev=gamma)
+        z, _, _ = _draws(seed, n)
+        args = (z, DT, p.mu, p.sigma_base, p.gamma_lev, p.vol_floor, p.vol_cap)
+        steps = _asym_vol_steps(*args)
+        assert np.array_equal(steps, asym_vol_steps_reference(*args))
+        if gamma == -50.0 and n == 19_169:
+            raw = p.sigma_base * np.exp(p.gamma_lev * steps[:-1])
+            assert raw.min() < p.vol_floor and raw.max() > p.vol_cap
+
+    @pytest.mark.parametrize("seed,n", KERNEL_CASES)
+    @pytest.mark.parametrize("v0,eps_v", [(None, None), (0.0, None), (None, 1.0)])
+    def test_heston(self, seed, n, v0, eps_v):
+        p = HestonParams()
+        v0 = p.vbar if v0 is None else v0
+        eps_v = p.eps_v if eps_v is None else eps_v
+        z1, w, _ = _draws(seed, n)
+        z2 = p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * w
+        args = (z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, v0, eps_v)
+        steps, v_used, n_degenerate = _heston_steps(*args)
+        ref_steps, ref_v_used, ref_n_degenerate = heston_steps_reference(*args)
+        assert np.array_equal(steps, ref_steps)
+        assert np.array_equal(v_used, ref_v_used)
+        assert n_degenerate == ref_n_degenerate
+        if eps_v == 1.0:
+            assert n_degenerate == n
+
+    @pytest.mark.parametrize("seed,n", KERNEL_CASES)
+    @pytest.mark.parametrize("state0", [0, 1])
+    def test_markov(self, seed, n, state0):
+        p = MarkovRsParams()
+        z, _, u = _draws(seed, n)
+        args = (z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull,
+                p.mu_bear, p.sigma_bear, p.stay_bear, state0)
+        steps, n_bull = _markov_steps(*args)
+        ref_steps, ref_n_bull = markov_steps_reference(*args)
+        assert np.array_equal(steps, ref_steps)
+        assert n_bull == ref_n_bull
+
+    @settings(max_examples=150)
+    @given(_markov_inputs())
+    @example((np.ones(3), np.array([0.9, 0.9, 0.9]), 0.9, 0.9, 1))  # every step flips
+    @example((np.ones(3), np.array([0.5, 0.7, 0.6]), 0.7, 0.5, 0))  # ties, p11 > p22
+    @example((np.ones(3), np.array([0.5, 0.7, 0.6]), 0.5, 0.7, 1))  # ties, p11 < p22
+    def test_markov_property(self, inputs):
+        z, u, p11, p22, state0 = inputs
+        p = MarkovRsParams()
+        args = (z, u, DT, p.mu_bull, p.sigma_bull, p11, p.mu_bear, p.sigma_bear, p22, state0)
+        steps, n_bull = _markov_steps(*args)
+        ref_steps, ref_n_bull = markov_steps_reference(*args)
+        assert np.array_equal(steps, ref_steps)
+        assert n_bull == ref_n_bull
