@@ -48,42 +48,56 @@ class BucketRow:
     ci_high: float | None
 
 
-def _episodes_from_closes(closes: np.ndarray, delta: float, allow_censored: bool) -> list[Episode]:
-    n = closes.size
+def _episode_arrays(closes: np.ndarray, delta: float):
+    """Completed episodes with depth >= delta, as arrays.
+
+    Returns (peaks, troughs, recs, depth, last_high): the peak, trough and
+    recovery indices and the depths of the completed episodes in order, and
+    the index of the last all-time high.
+    """
     runmax = np.maximum.accumulate(closes)
     highs = np.flatnonzero(closes == runmax)  # exact: runmax propagates the same float
+    peaks, recs = highs[:-1], highs[1:]
+    keep = recs - peaks > 1  # at least one strictly-below index between highs
+    peaks, recs = peaks[keep], recs[keep]
+    bounds = np.empty(2 * peaks.size, dtype=np.int64)
+    bounds[0::2] = peaks + 1
+    bounds[1::2] = recs
+    interior_min = np.minimum.reduceat(closes, bounds)[0::2]
+    depth = 1.0 - interior_min / closes[peaks]
+    deep = depth >= delta
+    peaks, recs, depth, interior_min = peaks[deep], recs[deep], depth[deep], interior_min[deep]
+    # lay the interiors [p+1, r) end to end; each interval's first index at
+    # its minimum is the first hit at or after the interval's offset
+    lens = recs - peaks - 1
+    offs = np.cumsum(lens) - lens
+    pos = np.arange(int(lens.sum())) + np.repeat(peaks + 1 - offs, lens)
+    hits = np.flatnonzero(closes[pos] == np.repeat(interior_min, lens))
+    troughs = pos[hits[np.searchsorted(hits, offs)]]
+    return peaks, troughs, recs, depth, int(highs[-1])
 
-    out: list[Episode] = []
-    if highs.size >= 2:
-        peaks = highs[:-1]
-        recs = highs[1:]
-        keep = recs - peaks > 1  # at least one strictly-below index between highs
-        peaks, recs = peaks[keep], recs[keep]
-        if peaks.size:
-            bounds = np.empty(2 * peaks.size, dtype=np.int64)
-            bounds[0::2] = peaks + 1
-            bounds[1::2] = recs
-            interior_min = np.minimum.reduceat(closes, bounds)[0::2]
-            depth = 1.0 - interior_min / closes[peaks]
-            for p, r, d in zip(peaks, recs, depth):
-                if d < delta:
-                    continue
-                t = int(p + 1 + np.argmin(closes[p + 1 : r]))  # first attaining index
-                out.append(
-                    Episode(
-                        peak_idx=int(p),
-                        trough_idx=t,
-                        recovery_idx=int(r),
-                        depth=float(d),
-                        retention=float(closes[t] / closes[p]),
-                        t_dd=int(t - p),
-                        t_rec=int(r - t),
-                        tau=float((r - t) / (t - p)),
-                        censored=False,
-                    )
-                )
 
-    last_high = int(highs[-1])
+def _episodes_from_closes(closes: np.ndarray, delta: float, allow_censored: bool) -> list[Episode]:
+    n = closes.size
+    peaks, troughs, recs, depth, last_high = _episode_arrays(closes, delta)
+    retention = closes[troughs] / closes[peaks]
+    out = [
+        Episode(
+            peak_idx=p,
+            trough_idx=t,
+            recovery_idx=r,
+            depth=d,
+            retention=ret,
+            t_dd=t - p,
+            t_rec=r - t,
+            tau=(r - t) / (t - p),
+            censored=False,
+        )
+        for p, t, r, d, ret in zip(
+            peaks.tolist(), troughs.tolist(), recs.tolist(), depth.tolist(), retention.tolist()
+        )
+    ]
+
     if allow_censored and last_high < n - 1:
         tail = closes[last_high + 1 :]
         d = 1.0 - tail.min() / closes[last_high]

@@ -90,6 +90,13 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
 
     The same underlying draws are used at every eps / noise level (they are
     scaled, not redrawn), so runs differing only in those knobs are coupled.
+
+    Raises ValueError naming the first step where the price or the aggregate
+    exposure is non-positive or non-finite; such a panel has no meaning.
+    Per-agent capital is not checked: calm-period noise can take one agent's
+    capital below zero while the aggregate stays positive (under the default
+    config, 3 of 1,000 seeds at T=360 and 15 at T=780), and those panels are
+    used as they are.
     """
     n, T = config.n_agents, config.T
     rng = np.random.default_rng(config.seed)
@@ -128,6 +135,15 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
     for t in range(1, T):
         price[t] = price[t - 1] * (1.0 + config.impact * (aggregate[t] - aggregate[t - 1]) / aggregate[t - 1])
 
+    agg_ok = np.isfinite(aggregate) & (aggregate > 0)
+    bad = np.flatnonzero(~(agg_ok & np.isfinite(price) & (price > 0)))
+    if bad.size:
+        t = int(bad[0])
+        name, value = ("aggregate exposure", aggregate[t]) if not agg_ok[t] else ("price", price[t])
+        raise ValueError(
+            f"simulated {name} is {value:.6g} at t={t}; price and aggregate exposure "
+            "must stay positive and finite"
+        )
     return SimulatedPanel(vol, regime, capital, aggregate, price, config)
 
 

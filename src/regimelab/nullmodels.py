@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataio import PricePath
-from .episodes import _episodes_from_closes
+from .episodes import _episode_arrays
 from .resample import derive_rng, stationary_block_indices
 
 DT = 1.0 / 252.0
@@ -194,29 +194,19 @@ def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):
 
 def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
     n = z1.size
-    steps = np.empty(n)
     v_used = np.empty(n)  # floored variance driving each price step
-    out_steps, out_v = memoryview(steps), memoryview(v_used)
+    out_v = memoryview(v_used)
     sqrt = math.sqrt
-    sqdt = sqrt(dt)
-    milstein = 0.25 * xi * xi
+    milstein = (0.25 * xi * xi) * (dt * z2 * z2 - dt)
     v = v0
-    n_degenerate = 0
-    for t, (a, b) in enumerate(zip(memoryview(z1), memoryview(z2))):
+    for t, (b, m) in enumerate(zip(memoryview(z2), memoryview(milstein))):
         vplus = v if v > 0.0 else 0.0
         out_v[t] = vplus
-        if vplus <= eps_v:
-            n_degenerate += 1
-        out_steps[t] = (mu - 0.5 * vplus) * dt + sqrt(vplus) * sqdt * a
-        v = (
-            v
-            + kappa * (vbar - vplus) * dt
-            + xi * sqrt(vplus * dt) * b
-            + milstein * (dt * b * b - dt)
-        )
+        v = v + kappa * (vbar - vplus) * dt + xi * sqrt(vplus * dt) * b + m
         if v < 0.0:
             v = 0.0
-    return steps, v_used, n_degenerate
+    steps = (mu - 0.5 * v_used) * dt + np.sqrt(v_used) * sqrt(dt) * z1
+    return steps, v_used, int(np.count_nonzero(v_used <= eps_v))
 
 
 def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
@@ -313,11 +303,11 @@ def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySum
         if closes is None:
             n_rejected += 1
             continue
-        eps = _episodes_from_closes(closes, spec.delta, allow_censored=False)
-        if not eps:
+        peaks, troughs, recs, _, _ = _episode_arrays(closes, spec.delta)
+        if not peaks.size:
             n_zero += 1
             continue
-        medians.append(float(np.median([e.tau for e in eps])))
+        medians.append(float(np.median((recs - troughs) / (troughs - peaks))))
     n_accepted = spec.n_paths - n_rejected
     if n_accepted == 0:
         raise ValueError("all simulated paths were rejected")

@@ -25,16 +25,16 @@ def stationary_block_indices(n: int, mean_block: float, rng: np.random.Generator
         raise ValueError("n must be >= 1")
     if mean_block < 1:
         raise ValueError("mean_block must be >= 1")
-    restart = np.empty(n, dtype=bool)
-    restart[0] = True
-    restart[1:] = rng.random(n - 1) < 1.0 / mean_block
-    block_id = np.cumsum(restart) - 1
-    n_blocks = block_id[-1] + 1
-    starts = rng.integers(0, n, size=n_blocks)
-    # position of each block's first element, then offset within block
-    block_first = np.flatnonzero(restart)
-    offset = np.arange(n) - block_first[block_id]
-    return (starts[block_id] + offset) % n
+    restart = rng.random(n - 1) < 1.0 / mean_block
+    block_first = np.concatenate(([0], 1 + np.flatnonzero(restart)))
+    starts = rng.integers(0, n, size=block_first.size)
+    # each block's start minus its first position, spread over its positions;
+    # start < n and offset < n, so one wrap suffices; adding in place spares a
+    # path-sized temporary, which costs more than the addition itself
+    idx = np.repeat(starts - block_first, np.diff(block_first, append=n))
+    idx += np.arange(n)
+    idx[idx >= n] -= n
+    return idx
 
 
 def percentile_ci_median(

@@ -181,3 +181,26 @@ def markov_steps_reference(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
         else:
             steps[t] = (mu2 - 0.5 * s2 * s2) * dt + s2 * sqdt * z[t]
     return steps, n_bull
+
+
+def stationary_block_indices_reference(n: int, mean_block: float, rng: np.random.Generator) -> np.ndarray:
+    """Politis-Romano stationary bootstrap index sequence of length exactly n.
+
+    Each position restarts at a uniform index with probability 1/mean_block,
+    otherwise continues the previous index + 1 modulo n (circular), giving
+    geometric block lengths with the requested mean.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if mean_block < 1:
+        raise ValueError("mean_block must be >= 1")
+    restart = np.empty(n, dtype=bool)
+    restart[0] = True
+    restart[1:] = rng.random(n - 1) < 1.0 / mean_block
+    block_id = np.cumsum(restart) - 1
+    n_blocks = block_id[-1] + 1
+    starts = rng.integers(0, n, size=n_blocks)
+    # position of each block's first element, then offset within block
+    block_first = np.flatnonzero(restart)
+    offset = np.arange(n) - block_first[block_id]
+    return (starts[block_id] + offset) % n

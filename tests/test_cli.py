@@ -237,6 +237,20 @@ class TestSimulateIntermediaryCmd:
         assert len(rows) == 24
         assert list(rows[0].keys()) == ["t", "vol", "regime", "aggregate_exposure", "price"]
 
+    @pytest.mark.parametrize("command", [["simulate-intermediary"], ["headline", "--synthetic"]])
+    def test_meaningless_panel_writes_nothing(self, tmp_path, capsys, command):
+        # one agent at seed 1306: its capital, so the aggregate, turns negative at t=240
+        out = tmp_path / "res"
+        rc = main([*command, "--agents", "1", "--periods", "780", "--seed", "1306",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: simulated aggregate exposure is -0.00395812 at t=240; "
+            "price and aggregate exposure must stay positive and finite"
+        ]
+        assert not out.exists()
+
 
 class TestRunAll:
     def test_data_free_run(self, tmp_path, capsys):

@@ -50,6 +50,17 @@ class TestDetectEpisodes:
         eps = detect_episodes(make_price_path(closes), 0.05)
         assert eps[0].trough_idx == 2
 
+    @pytest.mark.parametrize("closes,triples", [
+        # the minimum ties at the first and the last interior index
+        ([100, 80, 90, 80, 101], [(0, 1, 4)]),
+        # adjacent deep intervals; the second's minimum (85) ties at both of its
+        # ends and also occurs in the first, ahead of the first's own minimum
+        ([100, 85, 80, 85, 101, 85, 90, 85, 102], [(0, 2, 4), (4, 5, 8)]),
+    ])
+    def test_trough_search_stays_in_its_interval(self, closes, triples):
+        eps = detect_episodes(make_price_path(closes), 0.05)
+        assert episode_triples(eps) == triples == brute_force_episodes(closes, 0.05)
+
     def test_recovery_weak_inequality(self):
         closes = [100, 90, 100, 120]  # exact regain closes the episode
         eps = detect_episodes(make_price_path(closes), 0.05)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ class TestSimulate:
             IntermediaryConfig(stress_loss=1.5)
         with pytest.raises(ValueError):
             IntermediaryConfig(stress_entry=0.0)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(impact=2.5), "simulated price is -23.5959 at t=3;"),
+        (dict(calm_drift=1e-4, capital_noise_sd=0.05, T=2000),
+         "simulated aggregate exposure is -0.375947 at t=549;"),
+    ])
+    def test_rejects_non_positive_price_or_aggregate(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(IntermediaryConfig(seed=0, **kw))
+
+    def test_non_positive_agent_capital_accepted(self):
+        # one agent's capital crosses zero; price and aggregate stay positive
+        sim = simulate(IntermediaryConfig(seed=379))
+        assert sim.capital.min() <= 0
+        assert sim.aggregate.min() > 0 and sim.price.min() > 0
 
 
 class TestRecoveryTimes:

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from oracles import asym_vol_steps_reference, heston_steps_reference, markov_steps_reference
 from regimelab.episodes import detect_episodes
 from regimelab.nullmodels import (
+    DEFAULT_PARAMS,
     DT,
+    MODELS,
     AsymVolParams,
     BlockBootstrapParams,
     GbmParams,
     HestonParams,
     MarkovRsParams,
     NullSpec,
+    NullStudySummary,
     _asym_vol_steps,
     _heston_steps,
     _markov_steps,
@@ -197,6 +200,41 @@ class TestRunNullStudy:
         # p counts every accepted path; the median and quantiles only paths with an episode
         assert s.p_one_sided == sum(m >= 1.35 for m in medians) / s.n_accepted
         assert s.median_tau == float(np.median(medians))
+
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_row_matches_public_api(self, model):
+        # the row from simulate_path + detect_episodes + the median of the taus
+        if model == "block_bootstrap":
+            params = BlockBootstrapParams(returns=np.random.default_rng(6).normal(3e-4, 0.01, 5_000))
+        else:
+            params = DEFAULT_PARAMS[model]()
+        spec = NullSpec(model, params, n_days=2_520, n_paths=30, seed=17)
+        medians, n_rejected, n_zero = [], 0, 0
+        for i in range(spec.n_paths):
+            path = simulate_path(spec, i)
+            if path is None:
+                n_rejected += 1
+                continue
+            eps = detect_episodes(path, spec.delta)
+            if not eps:
+                n_zero += 1
+                continue
+            medians.append(float(np.median([e.tau for e in eps])))
+        med = np.array(medians)
+        q05, q95 = np.percentile(med, [5.0, 95.0])
+        n_accepted = spec.n_paths - n_rejected
+        want = NullStudySummary(
+            model=model,
+            n_accepted=n_accepted,
+            n_zero_episode=n_zero,
+            median_tau=float(np.median(med)),
+            q05=float(q05),
+            q95=float(q95),
+            p_one_sided=float(np.sum(med >= 1.35) / n_accepted),
+            comparator=1.35,
+        ).row()
+        assert run_null_study(spec, 1.35).row() == want
 
 
 KERNEL_CASES = [(seed, n) for seed in range(5) for n in (19_169, 2_519)]

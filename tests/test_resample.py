@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stationary_block_indices_reference
 from regimelab.resample import (
     derive_rng,
     percentile_ci_median,
@@ -62,6 +63,17 @@ class TestStationaryBlockIndices:
         a = stationary_block_indices(500, 20, np.random.default_rng(42))
         b = stationary_block_indices(500, 20, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 70, 2519, 19169])
+    @pytest.mark.parametrize("mean_block", [1, 3, 63, "n + 7"])
+    def test_matches_reference(self, n, mean_block):
+        # same indices, and the generator left where the reference leaves it
+        mean_block = n + 7 if mean_block == "n + 7" else mean_block
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = stationary_block_indices(n, mean_block, rng)
+            assert np.array_equal(idx, stationary_block_indices_reference(n, mean_block, ref_rng))
+            assert rng.random() == ref_rng.random()
 
 
 class TestPercentileCiMedian:
