@@ -25,6 +25,7 @@ from .episodes import (
     bucket_stats,
     delta_sensitivity,
     detect_episodes,
+    episode_arrays,
 )
 from .intermediary import (
     IntermediaryConfig,
@@ -42,6 +43,7 @@ from .nullmodels import (
     NullSpec,
     NullStudySummary,
     run_null_study,
+    simulate_closes,
     simulate_path,
 )
 from .regime import RegimeClassification, classify, lag_flags

@@ -34,7 +34,9 @@ from .episodes import (
     episodes_to_rows,
 )
 from .intermediary import IntermediaryConfig, simulate, to_monthly_table
-from .nullmodels import DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, run_null_study
+from .nullmodels import (
+    DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, run_null_studies, usable_cpus,
+)
 from .regime import classify
 from .survival import cox_fit
 from .timeseries import log_returns, realized_vol
@@ -249,21 +251,16 @@ def cmd_nulls(cfg: RunConfig) -> int:
             print(f"note: block_bootstrap skipped, price CSV not found ({price_file})")
             models = [m for m in models if m != "block_bootstrap"]
 
+    specs = [
+        NullSpec(model, BlockBootstrapParams(returns) if model == "block_bootstrap" else DEFAULT_PARAMS[model](),
+                 n_days=cfg.n_days, n_paths=cfg.n_paths, seed=cfg.seed, delta=cfg.delta)
+        for model in models
+    ]
     rows = []
-    for model in models:
-        params = BlockBootstrapParams(returns) if model == "block_bootstrap" else DEFAULT_PARAMS[model]()
-        spec = NullSpec(
-            model=model,
-            params=params,
-            n_days=cfg.n_days,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            delta=cfg.delta,
-        )
-        summary = run_null_study(spec, comparator_tau=cfg.comparator)
+    for summary in run_null_studies(specs, cfg.comparator, usable_cpus()):
         rows.append(summary.row())
         print(
-            f"{model}: median tau {summary.median_tau:.3f} "
+            f"{summary.model}: median tau {summary.median_tau:.3f} "
             f"[{summary.q05:.2f}, {summary.q95:.2f}], p = {summary.p_one_sided:.3f}, "
             f"accepted {summary.n_accepted}/{cfg.n_paths}"
         )

@@ -48,7 +48,7 @@ class BucketRow:
     ci_high: float | None
 
 
-def _episode_arrays(closes: np.ndarray, delta: float):
+def episode_arrays(closes: np.ndarray, delta: float):
     """Completed episodes with depth >= delta, as arrays.
 
     Returns (peaks, troughs, recs, depth, last_high): the peak, trough and
@@ -79,7 +79,7 @@ def _episode_arrays(closes: np.ndarray, delta: float):
 
 def _episodes_from_closes(closes: np.ndarray, delta: float, allow_censored: bool) -> list[Episode]:
     n = closes.size
-    peaks, troughs, recs, depth, last_high = _episode_arrays(closes, delta)
+    peaks, troughs, recs, depth, last_high = episode_arrays(closes, delta)
     retention = closes[troughs] / closes[peaks]
     out = [
         Episode(

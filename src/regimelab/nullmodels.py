@@ -13,19 +13,22 @@ reproducible path by path.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .dataio import PricePath
-from .episodes import _episode_arrays
+from .episodes import episode_arrays
 from .resample import derive_rng, stationary_block_indices
 
 DT = 1.0 / 252.0
 P0 = 100.0
 
 MODELS = ("gbm", "asym_vol", "heston", "markov_rs", "block_bootstrap")
+
+SLICES_PER_WORKER = 4  # path slices per pool process, so slow (Heston) slices even out
 
 
 @dataclass(frozen=True)
@@ -232,8 +235,8 @@ def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
     return steps, n - int(np.count_nonzero(bear))
 
 
-def _simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
-    """Closing prices for one path, or None when the path is rejected."""
+def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
+    """Closing prices of path `path_index`, or None when the path is rejected."""
     rng = derive_rng(spec.seed, path_index)
     n_steps = spec.n_days - 1
     p = spec.params
@@ -279,36 +282,36 @@ def _synthetic_dates(n: int) -> np.ndarray:
 
 def simulate_path(spec: NullSpec, path_index: int) -> PricePath | None:
     """Simulate path `path_index`; None signals a rejected (degenerate) path."""
-    closes = _simulate_closes(spec, path_index)
+    closes = simulate_closes(spec, path_index)
     if closes is None:
         return None
     return PricePath(_synthetic_dates(spec.n_days), closes)
 
 
-def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySummary:
-    """Distribution of per-path median duration ratios against a comparator.
-
-    For each accepted path, episodes are detected at spec.delta and the
-    median per-episode duration ratio is taken. p_one_sided is a share of
-    all accepted paths (one with no completed episode never reaches the
-    comparator); median_tau, q05 and q95 use only paths with an episode.
-    """
-    if comparator_tau <= 0:
-        raise ValueError("comparator_tau must be positive")
+def _run_slice(spec: NullSpec, start: int, stop: int) -> tuple[list[float], int, int]:
+    """Paths [start, stop): the median duration ratio of each accepted path
+    with a completed episode, in path order, and the counts of rejected and
+    zero-episode paths."""
     medians: list[float] = []
-    n_rejected = 0
-    n_zero = 0
-    for i in range(spec.n_paths):
-        closes = _simulate_closes(spec, i)
+    n_rejected = n_zero = 0
+    for i in range(start, stop):
+        closes = simulate_closes(spec, i)
         if closes is None:
             n_rejected += 1
             continue
-        peaks, troughs, recs, _, _ = _episode_arrays(closes, spec.delta)
+        peaks, troughs, recs, _, _ = episode_arrays(closes, spec.delta)
         if not peaks.size:
             n_zero += 1
             continue
         medians.append(float(np.median((recs - troughs) / (troughs - peaks))))
-    n_accepted = spec.n_paths - n_rejected
+    return medians, n_rejected, n_zero
+
+
+def _summarise(spec: NullSpec, parts: list, comparator_tau: float) -> NullStudySummary:
+    """The study's summary from its slices' results, joined in slice order."""
+    medians = [m for part in parts for m in part[0]]
+    n_accepted = spec.n_paths - sum(part[1] for part in parts)
+    n_zero = sum(part[2] for part in parts)
     if n_accepted == 0:
         raise ValueError("all simulated paths were rejected")
     if not medians:
@@ -325,3 +328,60 @@ def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySum
         p_one_sided=float(np.sum(med_arr >= comparator_tau) / n_accepted),
         comparator=comparator_tau,
     )
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (every CPU where the OS cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_null_studies(
+    specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1
+) -> list[NullStudySummary]:
+    """run_null_study's summary of each spec, in order.
+
+    With more than one worker, each study's paths are cut into contiguous
+    slices, about SLICES_PER_WORKER per process, and all studies' slices go
+    to one fork pool at once, so no process idles between studies. Path i
+    depends on (seed, i) only, so the summaries do not depend on `workers`.
+    """
+    if comparator_tau <= 0:
+        raise ValueError("comparator_tau must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    processes = min(workers, max((spec.n_paths for spec in specs), default=1))
+    if processes == 1 or not hasattr(os, "fork"):  # no fork (Windows): run in-process
+        parts = [[_run_slice(spec, 0, spec.n_paths)] for spec in specs]
+    else:
+        # imported here, not at the top, as importing it takes about 15 ms (2-CPU x86 host)
+        import multiprocessing
+
+        # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
+        import numpy.ma  # noqa: F401
+
+        # fork, not spawn: workers start with numpy and the specs already loaded
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            pending = []
+            for spec in specs:
+                k = min(spec.n_paths, SLICES_PER_WORKER * processes)
+                bounds = [spec.n_paths * j // k for j in range(k + 1)]
+                pending.append([pool.apply_async(_run_slice, (spec, a, b)) for a, b in zip(bounds, bounds[1:])])
+            parts = [[part.get() for part in study] for study in pending]
+            pool.close()
+            pool.join()
+    return [_summarise(spec, study, comparator_tau) for spec, study in zip(specs, parts)]
+
+
+def run_null_study(spec: NullSpec, comparator_tau: float = 1.35, workers: int = 1) -> NullStudySummary:
+    """Distribution of per-path median duration ratios against a comparator.
+
+    For each accepted path, episodes are detected at spec.delta and the
+    median per-episode duration ratio is taken. p_one_sided is a share of
+    all accepted paths (one with no completed episode never reaches the
+    comparator); median_tau, q05 and q95 use only paths with an episode.
+    The paths run on `workers` processes (see run_null_studies); the
+    summary is the same for every worker count.
+    """
+    return run_null_studies([spec], comparator_tau, workers)[0]

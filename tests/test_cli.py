@@ -1,13 +1,17 @@
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regimelab
 from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import read_table
-from regimelab.nullmodels import GbmParams, NullSpec, simulate_path
+from regimelab.nullmodels import GbmParams, NullSpec, simulate_path, usable_cpus
 
 
 def write_price_csv(path, closes, start="1990-01-02"):
@@ -183,6 +187,29 @@ class TestNullsCmd:
         err = capsys.readouterr().err
         assert "--models" in err and "gbm,asym_vol,heston,markov_rs,block_bootstrap" in err
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
+                        reason="needs two usable CPUs and a settable CPU affinity")
+    def test_pool_and_serial_same_bytes(self, tmp_path):
+        # nulls runs on every CPU it may use: pinned to one CPU it runs in-process.
+        # stdout goes to a file, so it is block-buffered: a forked worker that
+        # inherits an unflushed buffer (the block_bootstrap note) would print it again
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        one_cpu = {min(os.sched_getaffinity(0))}
+        got = []
+        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+            log = tmp_path / "stdout.txt"
+            with open(log, "wb") as f:
+                subprocess.run(
+                    [sys.executable, "-m", "regimelab.cli", "nulls", "--paths", "12", "--days", "700",
+                     "--out", "res", "--data-dir", "none"],
+                    cwd=tmp_path, env=env, stdout=f, stderr=subprocess.STDOUT, timeout=120, check=True,
+                    preexec_fn=pin,
+                )
+            got.append((log.read_bytes(), (tmp_path / "res/nulls.csv").read_bytes()))
+        assert got[0] == got[1]
+        assert got[0][0].count(b"note: block_bootstrap skipped") == 1
 
 
 class TestCotCmd:

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from regimelab.nullmodels import (
     _asym_vol_steps,
     _heston_steps,
     _markov_steps,
+    _run_slice,
     run_null_study,
     simulate_path,
+    usable_cpus,
 )
 from regimelab.resample import derive_rng
 
@@ -172,6 +176,14 @@ class TestBlockBootstrap:
             BlockBootstrapParams(returns=np.array([0.01]))
 
 
+def _study_spec(model):
+    if model == "block_bootstrap":
+        params = BlockBootstrapParams(returns=np.random.default_rng(6).normal(3e-4, 0.01, 5_000))
+    else:
+        params = DEFAULT_PARAMS[model]()
+    return NullSpec(model, params, n_days=2_520, n_paths=30, seed=17)
+
+
 class TestRunNullStudy:
     def test_summary_invariants_small_study(self):
         spec = NullSpec("gbm", GbmParams(), n_days=3_000, n_paths=40, seed=21)
@@ -205,11 +217,7 @@ class TestRunNullStudy:
     @pytest.mark.parametrize("model", MODELS)
     def test_row_matches_public_api(self, model):
         # the row from simulate_path + detect_episodes + the median of the taus
-        if model == "block_bootstrap":
-            params = BlockBootstrapParams(returns=np.random.default_rng(6).normal(3e-4, 0.01, 5_000))
-        else:
-            params = DEFAULT_PARAMS[model]()
-        spec = NullSpec(model, params, n_days=2_520, n_paths=30, seed=17)
+        spec = _study_spec(model)
         medians, n_rejected, n_zero = [], 0, 0
         for i in range(spec.n_paths):
             path = simulate_path(spec, i)
@@ -235,6 +243,41 @@ class TestRunNullStudy:
             comparator=1.35,
         ).row()
         assert run_null_study(spec, 1.35).row() == want
+
+
+class TestWorkers:
+    """Path i depends on (seed, i) only, whatever process or slice runs it."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_row_same_for_every_worker_count(self, model):
+        spec = _study_spec(model)
+        assert run_null_study(spec, 1.35, workers=2).row() == run_null_study(spec, 1.35, workers=1).row()
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("size", [1, 7, 30])
+    def test_slices_join_to_one_pass(self, model, size):
+        spec = _study_spec(model)
+        parts = [_run_slice(spec, a, min(a + size, spec.n_paths)) for a in range(0, spec.n_paths, size)]
+        joined = ([m for p in parts for m in p[0]], sum(p[1] for p in parts), sum(p[2] for p in parts))
+        assert joined == _run_slice(spec, 0, spec.n_paths)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_null_study(_study_spec("gbm"), 1.35, workers=workers)
+
+    def test_serial_without_affinity_or_fork(self, monkeypatch):
+        # an OS without sched_getaffinity (macOS) or fork (Windows) still runs every study
+        want = run_null_study(_study_spec("gbm"), 1.35).row()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", None)
+        assert usable_cpus() == (os.cpu_count() or 1)
+        assert run_null_study(_study_spec("gbm"), 1.35, workers=usable_cpus() + 1).row() == want
 
 
 KERNEL_CASES = [(seed, n) for seed in range(5) for n in (19_169, 2_519)]
