@@ -4,7 +4,8 @@ Commands: headline, episodes, r3, nulls, cot, simulate-intermediary, run-all.
 Inputs default to <data-dir>/sp500_daily.csv and <data-dir>/finra_vix_monthly.csv,
 where the data directory comes from --data-dir, the REGIMELAB_DATA_DIR
 environment variable, or ./data. All outputs are deterministic given flags,
-seed, and inputs.
+seed, and inputs. A command's tables are written only once all of its
+computations have succeeded; run-all writes each sub-command's as it succeeds.
 """
 
 from __future__ import annotations
@@ -103,12 +104,7 @@ class RunConfig:
         return self.out / f"{stem}.{ext}"
 
 
-def _write(cfg: RunConfig, stem: str, rows: list[dict]) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_file(stem)
-    write_table(rows, path, cfg.format)
-    print(f"wrote {path}")
-    return path
+Tables = list[tuple[str, list[dict]]]  # (stem, rows) in write order
 
 
 def _load_headline_panel(cfg: RunConfig):
@@ -126,17 +122,15 @@ def _load_headline_panel(cfg: RunConfig):
     return build_panel(load_monthly_csv(path), q=cfg.q)
 
 
-def cmd_headline(cfg: RunConfig) -> int:
+def cmd_headline(cfg: RunConfig) -> Tables:
     panel = _load_headline_panel(cfg)
     fit = headline_regression(panel, lags=cfg.lags, lag_regime=cfg.lag_regime)
-    _write(cfg, "headline", fit.rows())
     print(
         f"headline: b_S = {fit.b_S:+.4f} (p = {fit.wald_p:.4g}), stress slope "
         f"{fit.stress_slope['estimate']:+.4f}, n_stress = {fit.n_stress}, "
         f"threshold = {fit.threshold:.4g}"
     )
     sweep_rows = robustness_sweep(panel, lags=cfg.lags)
-    _write(cfg, "sweeps", sweep_rows)
     print(EMA_NOTE)
     panel_rows = [
         {
@@ -148,8 +142,7 @@ def cmd_headline(cfg: RunConfig) -> int:
         }
         for i, m in enumerate(panel.months)
     ]
-    _write(cfg, "panel", panel_rows)
-    return 0
+    return [("headline", fit.rows()), ("sweeps", sweep_rows), ("panel", panel_rows)]
 
 
 def _load_prices(cfg: RunConfig):
@@ -159,16 +152,13 @@ def _load_prices(cfg: RunConfig):
     return load_price_csv(path)
 
 
-def cmd_episodes(cfg: RunConfig) -> int:
+def cmd_episodes(cfg: RunConfig) -> Tables:
     path = _load_prices(cfg)
     eps = detect_episodes(path, delta=cfg.delta, allow_censored=True)
     if not eps:
         print(f"no episodes with depth >= {cfg.delta}")
-        return 0
+        return []
     buckets = bucket_stats(eps, bootstrap_B=cfg.bootstrap_b, seed=cfg.seed)
-    _write(cfg, "episodes", episodes_to_rows(path, eps))
-    _write(cfg, "buckets", bucket_rows_to_records(buckets))
-    _write(cfg, "delta_sensitivity", delta_sensitivity(path))
     n_deep = sum(1 for e in eps if e.depth >= 0.30)
     n_cens = sum(1 for e in eps if e.censored)
     print(f"episodes: {len(eps)} at delta={cfg.delta} ({n_deep} deeper than 30%, {n_cens} censored)")
@@ -177,35 +167,24 @@ def cmd_episodes(cfg: RunConfig) -> int:
     vol = realized_vol(rets, window=21)
     valid = ~np.isnan(vol)
     cls = classify(vol[valid], q=cfg.q)
-    vol_rows = []
-    j = 0
-    for i in np.flatnonzero(valid):
-        vol_rows.append(
-            {
-                "date": str(path.dates[i + 1]),  # vol[i] covers returns ending at date i+1
-                "realized_vol": float(vol[i]),
-                "stress": int(cls.flags[j]),
-            }
-        )
-        j += 1
-    _write(cfg, "volseries", vol_rows)
-    return 0
+    # vol[i] covers returns ending at date i+1
+    vol_rows = [
+        {"date": str(path.dates[i + 1]), "realized_vol": float(vol[i]), "stress": int(cls.flags[j])}
+        for j, i in enumerate(np.flatnonzero(valid))
+    ]
+    return [("episodes", episodes_to_rows(path, eps)), ("buckets", bucket_rows_to_records(buckets)),
+            ("delta_sensitivity", delta_sensitivity(path)), ("volseries", vol_rows)]
 
 
-def cmd_r3(cfg: RunConfig) -> int:
+def cmd_r3(cfg: RunConfig) -> Tables:
     path = _load_prices(cfg)
     eps = detect_episodes(path, delta=cfg.delta, allow_censored=True)
     completed = [e for e in eps if not e.censored]
     if len(completed) < 3:
-        print(
-            f"r3: aborting, need >= 3 completed episodes, found {len(completed)}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"need >= 3 completed episodes, found {len(completed)}")
 
-    rows = []
     fit = depth_regression(eps, lags=cfg.lags)
-    rows += [{"variant": "full", **r} for r in fit.rows()]
+    rows = [{"variant": "full", **r} for r in fit.rows()]
     outliers = [e for e in completed if str(path.dates[e.peak_idx]).startswith("1980-11")]
     if outliers:
         reduced = [e for e in eps if e not in outliers]
@@ -219,19 +198,16 @@ def cmd_r3(cfg: RunConfig) -> int:
     depth = [e.depth for e in eps]
     cox = cox_fit(durations, events, depth)
 
-    # every fit above runs before any table is written, so a failure leaves no files
-    _write(cfg, "r3_depth", rows)
     beta = fit.coef[1]
     print(f"r3 depth regression: beta = {beta:+.4f} (p = {fit.p[1]:.4g}) on {fit.nobs} episodes")
-    _write(cfg, "cox", [cox.row()])
     print(
         f"cox: gamma = {cox.gamma:+.4f} (se {cox.se:.4f}, z {cox.z:+.3f}), "
         f"hazard ratio per 10pp depth = {cox.hazard_ratio_per_0p10:.3f}"
     )
-    return 0
+    return [("r3_depth", rows), ("cox", [cox.row()])]
 
 
-def cmd_nulls(cfg: RunConfig) -> int:
+def cmd_nulls(cfg: RunConfig) -> Tables:
     models = list(cfg.models)
     if not models:
         raise ValueError(f"--models names no model; choose from {','.join(MODELS)}")
@@ -264,35 +240,32 @@ def cmd_nulls(cfg: RunConfig) -> int:
             f"[{summary.q05:.2f}, {summary.q95:.2f}], p = {summary.p_one_sided:.3f}, "
             f"accepted {summary.n_accepted}/{cfg.n_paths}"
         )
-    _write(cfg, "nulls", rows)
-    return 0
+    return [("nulls", rows)]
 
 
-def cmd_cot(cfg: RunConfig) -> int:
+def cmd_cot(cfg: RunConfig) -> Tables:
     if cfg.cot_input is None:
         print(COT_MESSAGE.format(schema=COT_SCHEMA_HELP))
-        return 0
+        return []
     table = load_exposure_csv(cfg.cot_input)
     panel = build_panel(table, q=cfg.q)
     fit = headline_regression(panel, lags=cfg.lags, lag_regime=cfg.lag_regime)
-    _write(cfg, "cot_companion", fit.rows())
     print("companion - not a paper claim")
     print(
         f"cot companion: b_S = {fit.b_S:+.4f} (p = {fit.wald_p:.4g}), "
         f"n_stress = {fit.n_stress} of {len(panel)}"
     )
-    return 0
+    return [("cot_companion", fit.rows())]
 
 
-def cmd_simulate_intermediary(cfg: RunConfig) -> int:
+def cmd_simulate_intermediary(cfg: RunConfig) -> Tables:
     sim = simulate(IntermediaryConfig(n_agents=cfg.agents, T=cfg.periods, seed=cfg.seed))
-    _write(cfg, "intermediary_panel", sim.rows())
     n_stress = int(sim.regime.sum())
     print(f"simulated {cfg.periods} periods, {cfg.agents} agents, {n_stress} stress periods")
-    return 0
+    return [("intermediary_panel", sim.rows())]
 
 
-def cmd_run_all(cfg: RunConfig) -> int:
+def cmd_run_all(cfg: RunConfig) -> Tables:
     failures = 0
     monthly_ok = cfg.synthetic or cfg.monthly_path().exists()
     if monthly_ok:
@@ -312,15 +285,24 @@ def cmd_run_all(cfg: RunConfig) -> int:
     failures += _guarded(cmd_nulls, cfg)
     failures += _guarded(cmd_cot, cfg)
     if failures:
-        print(f"run-all: {failures} sub-command(s) failed", file=sys.stderr)
-        return 1
+        raise ValueError(f"{failures} sub-command(s) failed")
     print("run-all: complete")
-    return 0
+    return []
+
+
+def _run(fn, cfg: RunConfig) -> None:
+    """Run one command, then write its tables: a command that raises writes none."""
+    for stem, rows in fn(cfg):
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        path = cfg.out_file(stem)
+        write_table(rows, path, cfg.format)
+        print(f"wrote {path}")
 
 
 def _guarded(fn, cfg: RunConfig) -> int:
     try:
-        return 1 if fn(cfg) else 0
+        _run(fn, cfg)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"{fn.__name__}: {exc}", file=sys.stderr)
         return 1
@@ -421,10 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
-        return COMMANDS[cfg.command][0](cfg)
+        _run(COMMANDS[cfg.command][0], cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

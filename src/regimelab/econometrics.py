@@ -197,9 +197,11 @@ def depth_regression(episodes: list[Episode], lags: int = 6) -> RegressionFit:
     return ols_hac(np.log(tau), X, lags, names=("alpha", "beta"))
 
 
+_EMPTY_CELL = dict.fromkeys(("b", "b_S", "p_bS", "stress_slope", "n_stress"))
+
+
 def _headline_cell(months, margin, vol, q, scheme, param, lags) -> dict:
-    cell = {"b": None, "b_S": None, "p_bS": None, "stress_slope": None, "n_stress": None,
-            "status": "ok"}
+    cell = {**_EMPTY_CELL, "status": "ok"}
     try:
         panel = build_panel(MonthlyTable(list(months), margin, vol), q, scheme, param)
         hf = headline_regression(panel, lags=lags)
@@ -242,8 +244,7 @@ def robustness_sweep(
             if (first is None or m >= first) and (last is None or m <= last)
         ]
         if len(sel) < 24:
-            rows.append({"sweep": "subsample", "cell": label, "b": None, "b_S": None,
-                         "p_bS": None, "stress_slope": None, "n_stress": None,
+            rows.append({"sweep": "subsample", "cell": label, **_EMPTY_CELL,
                          "status": "failed: sub-sample too short"})
             continue
         cell = _headline_cell(

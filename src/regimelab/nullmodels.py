@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +25,6 @@ from .resample import derive_rng, stationary_block_indices
 
 DT = 1.0 / 252.0
 P0 = 100.0
-
-MODELS = ("gbm", "asym_vol", "heston", "markov_rs", "block_bootstrap")
 
 SLICES_PER_WORKER = 4  # path slices per pool process, so slow (Heston) slices even out
 
@@ -125,6 +123,7 @@ DEFAULT_PARAMS = {
     "markov_rs": MarkovRsParams,
     "block_bootstrap": BlockBootstrapParams,
 }
+MODELS = tuple(DEFAULT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,11 @@ class NullSpec:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
+        kind = DEFAULT_PARAMS[self.model]
+        if not isinstance(self.params, kind):
+            raise ValueError(f"{self.model} needs {kind.__name__}, got {type(self.params).__name__}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_days < 252:
             raise ValueError("n_days must be >= 252")
         if self.n_paths < 1:
@@ -159,16 +163,7 @@ class NullStudySummary:
     comparator: float
 
     def row(self) -> dict:
-        return {
-            "model": self.model,
-            "n_accepted": self.n_accepted,
-            "n_zero_episode": self.n_zero_episode,
-            "median_tau": self.median_tau,
-            "q05": self.q05,
-            "q95": self.q95,
-            "p_one_sided": self.p_one_sided,
-            "comparator": self.comparator,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

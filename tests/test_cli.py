@@ -80,6 +80,19 @@ class TestEpisodesCmd:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    # one 10% episode, but 25 closes give 4 realized-vol values, too few to classify
+    SHORT = [100, 90, 101] + [101 + 0.5 * i for i in range(1, 23)]
+
+    def test_short_series_writes_nothing(self, tmp_path, capsys):
+        f = write_price_csv(tmp_path / "p.csv", self.SHORT)
+        out = tmp_path / "res"
+        rc = main(["episodes", "--prices", str(f), "--out", str(out), "--bootstrap-b", "50"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: need at least 10 observations to classify"]
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
     def test_missing_prices(self, tmp_path, capsys):
         rc = main(["episodes", "--data-dir", str(tmp_path), "--out", str(tmp_path / "r")])
         assert rc != 0
@@ -133,9 +146,11 @@ class TestR3Cmd:
         rc_eps = main(["episodes", "--prices", str(f), "--out", str(out), "--bootstrap-b", "100"])
         assert rc_eps == 0
         assert len(read_table(out / "episodes.csv")) == 1
-        rc = main(["r3", "--prices", str(f), "--out", str(out)])
-        assert rc != 0
-        assert "found 1" in capsys.readouterr().err
+        r3_out = tmp_path / "r3"
+        rc = main(["r3", "--prices", str(f), "--out", str(r3_out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: need >= 3 completed episodes, found 1"]
+        assert not r3_out.exists()
 
 
 class TestNullsCmd:
@@ -177,6 +192,14 @@ class TestNullsCmd:
         rc = main(["nulls", "--models", "garch", "--out", str(tmp_path / "r"),
                    "--data-dir", str(tmp_path)])
         assert rc != 0
+
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["nulls", "--models", "gbm", "--seed", "-1", "--out", str(out),
+                   "--data-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("models", ["", ","])
@@ -314,6 +337,24 @@ class TestRunAll:
                    "--periods", "240", "--agents", "10"])
         assert rc != 0
         assert "sub-command(s) failed" in capsys.readouterr().err
+
+    def test_failed_subcommands_write_none_of_their_tables(self, tmp_path, capsys):
+        # episodes fails to classify and r3 finds one episode; headline and nulls succeed
+        f = write_price_csv(tmp_path / "p.csv", TestEpisodesCmd.SHORT)
+        out = tmp_path / "res"
+        rc = main(["run-all", "--prices", str(f), "--data-dir", str(tmp_path / "missing"),
+                   "--out", str(out), "--models", "gbm", "--paths", "4", "--days", "1000",
+                   "--periods", "240", "--agents", "20", "--bootstrap-b", "50"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "cmd_episodes: need at least 10 observations to classify",
+            "cmd_r3: need >= 3 completed episodes, found 1",
+            "error: 2 sub-command(s) failed",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == ["headline.csv", "nulls.csv", "panel.csv", "sweeps.csv"]
+        wrote = [line for line in captured.out.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / stem}.csv" for stem in ("headline", "sweeps", "panel", "nulls")]
 
 
 # The CLI surface as the hand-written parser declared it: per command, each

@@ -44,6 +44,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown model"):
             NullSpec("garch", GbmParams())
 
+    @pytest.mark.parametrize("model,params", [("gbm", HestonParams()), ("heston", GbmParams()),
+                                              ("block_bootstrap", None)])
+    def test_params_of_another_model(self, model, params):
+        # caught when the spec is built, not as an AttributeError inside a pool worker
+        kind = DEFAULT_PARAMS[model].__name__
+        with pytest.raises(ValueError, match=f"^{model} needs {kind}, got {type(params).__name__}$"):
+            NullSpec(model, params)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            NullSpec("gbm", GbmParams(), seed=-1)
+        assert NullSpec("gbm", GbmParams(), seed=0).seed == 0
+
     def test_heston_feller_ratio_recorded(self):
         p = HestonParams()
         assert p.feller_ratio == pytest.approx(2 * 5.0 * 0.0247 / 0.25)
