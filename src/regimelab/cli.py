@@ -14,12 +14,14 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dataio import (
+    PricePath,
     build_panel,
     load_exposure_csv,
     load_monthly_csv,
@@ -96,6 +98,14 @@ class RunConfig:
     def price_path(self) -> Path:
         return self.prices if self.prices is not None else self.data_dir / "sp500_daily.csv"
 
+    @cached_property
+    def price_series(self) -> PricePath:
+        """The price file, parsed at most once per config (run-all's steps share it)."""
+        path = self.price_path()
+        if not path.exists():
+            raise FileNotFoundError(f"price series not found: {path}; pass --prices. {PRICE_SCHEMA_HELP}")
+        return load_price_csv(path)
+
     def monthly_path(self) -> Path:
         return self.monthly if self.monthly is not None else self.data_dir / "finra_vix_monthly.csv"
 
@@ -145,15 +155,8 @@ def cmd_headline(cfg: RunConfig) -> Tables:
     return [("headline", fit.rows()), ("sweeps", sweep_rows), ("panel", panel_rows)]
 
 
-def _load_prices(cfg: RunConfig):
-    path = cfg.price_path()
-    if not path.exists():
-        raise FileNotFoundError(f"price series not found: {path}; pass --prices. {PRICE_SCHEMA_HELP}")
-    return load_price_csv(path)
-
-
 def cmd_episodes(cfg: RunConfig) -> Tables:
-    path = _load_prices(cfg)
+    path = cfg.price_series
     eps = detect_episodes(path, delta=cfg.delta, allow_censored=True)
     if not eps:
         print(f"no episodes with depth >= {cfg.delta}")
@@ -177,7 +180,7 @@ def cmd_episodes(cfg: RunConfig) -> Tables:
 
 
 def cmd_r3(cfg: RunConfig) -> Tables:
-    path = _load_prices(cfg)
+    path = cfg.price_series
     eps = detect_episodes(path, delta=cfg.delta, allow_censored=True)
     completed = [e for e in eps if not e.censored]
     if len(completed) < 3:
@@ -218,7 +221,7 @@ def cmd_nulls(cfg: RunConfig) -> Tables:
     price_file = cfg.price_path()
     if "block_bootstrap" in models:
         if price_file.exists():
-            returns = log_returns(load_price_csv(price_file))
+            returns = log_returns(cfg.price_series)
         elif models == ["block_bootstrap"]:
             raise FileNotFoundError(
                 f"block_bootstrap requires the price CSV ({price_file}). {PRICE_SCHEMA_HELP}"
@@ -266,46 +269,41 @@ def cmd_simulate_intermediary(cfg: RunConfig) -> Tables:
 
 
 def cmd_run_all(cfg: RunConfig) -> Tables:
-    failures = 0
-    monthly_ok = cfg.synthetic or cfg.monthly_path().exists()
-    if monthly_ok:
-        failures += _guarded(cmd_headline, cfg)
-    else:
+    # one config for every step, so they share its parsed price series
+    if not (cfg.synthetic or cfg.monthly_path().exists()):
         print("run-all: monthly panel missing, running headline on synthetic data")
-        failures += _guarded(cmd_headline, replace(cfg, synthetic=True))
-
+        cfg = replace(cfg, synthetic=True)
+    failures = _run("headline", cfg)
     if cfg.price_path().exists():
-        failures += _guarded(cmd_episodes, cfg)
-        failures += _guarded(cmd_r3, cfg)
+        failures += _run("episodes", cfg) + _run("r3", cfg)
     else:
         print(
             "run-all: price CSV missing, data-conditional checks skipped "
             f"(episodes, r3; expected at {cfg.price_path()})"
         )
-    failures += _guarded(cmd_nulls, cfg)
-    failures += _guarded(cmd_cot, cfg)
+    failures += _run("nulls", cfg) + _run("cot", cfg)
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")
     print("run-all: complete")
     return []
 
 
-def _run(fn, cfg: RunConfig) -> None:
-    """Run one command, then write its tables: a command that raises writes none."""
-    for stem, rows in fn(cfg):
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        path = cfg.out_file(stem)
-        write_table(rows, path, cfg.format)
-        print(f"wrote {path}")
+def _run(command: str, cfg: RunConfig, label: str | None = None) -> int:
+    """Run one command, then write its tables: a command that raises writes none.
 
-
-def _guarded(fn, cfg: RunConfig) -> int:
+    A ValueError or OSError is printed on stderr as `<label>: <reason>` (the
+    label defaults to the command's name) and returns 1; success returns 0.
+    """
     try:
-        _run(fn, cfg)
-        return 0
+        for stem, rows in COMMANDS[command][0](cfg):
+            cfg.out.mkdir(parents=True, exist_ok=True)
+            path = cfg.out_file(stem)
+            write_table(rows, path, cfg.format)
+            print(f"wrote {path}")
     except (ValueError, OSError) as exc:
-        print(f"{fn.__name__}: {exc}", file=sys.stderr)
+        print(f"{label or command}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def _models(text: str) -> tuple[str, ...]:
@@ -400,14 +398,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    try:
-        _run(COMMANDS[cfg.command][0], cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    cfg = config_from_args(build_parser().parse_args(argv))
+    return _run(cfg.command, cfg, "error")
 
 
 if __name__ == "__main__":

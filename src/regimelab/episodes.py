@@ -245,8 +245,8 @@ def delta_sensitivity(path: PricePath, deltas: tuple[float, ...] = DELTA_SWEEP) 
     out = []
     for delta in deltas:
         eps = detect_episodes(path, delta=delta)
-        taus = [e.tau for e in eps if not e.censored]
-        deep = [e.tau for e in eps if not e.censored and e.depth >= 0.30]
+        taus = [e.tau for e in eps]
+        deep = [e.tau for e in eps if e.depth >= 0.30]
         out.append(
             {
                 "delta": delta,

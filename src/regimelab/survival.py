@@ -56,24 +56,25 @@ def _prepare(durations, events, covariate):
     return durations[order], events[order], x[order]
 
 
-def _group_starts(durations: np.ndarray) -> np.ndarray:
-    # index of the first subject in each duration-tie group (ascending sort)
-    return np.flatnonzero(np.concatenate(([True], np.diff(durations) > 0)))
+def _event_groups(dur, ev, x) -> list[tuple[int, int, float]]:
+    # (first index, event count, event-covariate sum) per duration-tie group with an event
+    groups = []
+    for g in np.flatnonzero(np.concatenate(([True], np.diff(dur) > 0))):
+        members = slice(g, g + np.searchsorted(dur[g:], dur[g], side="right"))
+        d = int(ev[members].sum())
+        if d:
+            groups.append((g, d, float(x[members][ev[members] == 1].sum())))
+    return groups
 
 
-def _loglik_score_info(gamma: float, dur, ev, x):
+def _loglik_score_info(gamma: float, x, groups):
     # suffix sums over the ascending sort give risk-set sums at each tie group
     w = np.exp(gamma * x)
     s0 = np.cumsum(w[::-1])[::-1]
     s1 = np.cumsum((w * x)[::-1])[::-1]
     s2 = np.cumsum((w * x * x)[::-1])[::-1]
     ll = score = info = 0.0
-    for g in _group_starts(dur):
-        members = slice(g, g + np.searchsorted(dur[g:], dur[g], side="right"))
-        d = int(ev[members].sum())
-        if d == 0:
-            continue
-        sx = float(x[members][ev[members] == 1].sum())
+    for g, d, sx in groups:
         mean = s1[g] / s0[g]
         ll += gamma * sx - d * math.log(s0[g])
         score += sx - d * mean
@@ -81,17 +82,12 @@ def _loglik_score_info(gamma: float, dur, ev, x):
     return ll, score, info
 
 
-def _limit_scores(dur, ev, x):
+def _limit_scores(x, groups):
     # score at gamma -> +inf / -inf: risk-set mean tends to max / min of x
     sufmax = np.maximum.accumulate(x[::-1])[::-1]
     sufmin = np.minimum.accumulate(x[::-1])[::-1]
     up = lo = 0.0
-    for g in _group_starts(dur):
-        members = slice(g, g + np.searchsorted(dur[g:], dur[g], side="right"))
-        d = int(ev[members].sum())
-        if d == 0:
-            continue
-        sx = float(x[members][ev[members] == 1].sum())
+    for g, d, sx in groups:
         up += sx - d * sufmax[g]
         lo += sx - d * sufmin[g]
     return up, lo
@@ -107,25 +103,26 @@ def cox_fit(durations, events, covariate, tol: float = 1e-8, max_iter: int = 100
     dur, ev, x_raw = _prepare(durations, events, covariate)
     # centering leaves the partial likelihood identically unchanged but keeps exp() tame
     x = x_raw - x_raw.mean()
+    groups = _event_groups(dur, ev, x)
 
-    score_up, score_lo = _limit_scores(dur, ev, x)
+    score_up, score_lo = _limit_scores(x, groups)
     if not (score_up < 0.0 < score_lo):
         raise ValueError("non-finite MLE: monotone partial likelihood (perfect separation)")
 
     gamma = 0.0
-    ll, score, info = _loglik_score_info(gamma, dur, ev, x)
+    ll, score, info = _loglik_score_info(gamma, x, groups)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if info <= 0:
             raise ValueError("non-finite MLE: information is not positive")
         step = score / info
         new_gamma = gamma + step
-        new_ll, new_score, new_info = _loglik_score_info(new_gamma, dur, ev, x)
+        new_ll, new_score, new_info = _loglik_score_info(new_gamma, x, groups)
         halvings = 0
         while new_ll < ll - 1e-12 and halvings < 40:
             step /= 2.0
             new_gamma = gamma + step
-            new_ll, new_score, new_info = _loglik_score_info(new_gamma, dur, ev, x)
+            new_ll, new_score, new_info = _loglik_score_info(new_gamma, x, groups)
             halvings += 1
         delta = abs(new_gamma - gamma)
         gamma, ll, score, info = new_gamma, new_ll, new_score, new_info

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import regimelab
+from regimelab import cli
 from regimelab.cli import _models, build_parser, config_from_args, main
-from regimelab.dataio import read_table
+from regimelab.dataio import load_price_csv, read_table
 from regimelab.nullmodels import GbmParams, NullSpec, simulate_path, usable_cpus
 
 
@@ -323,6 +324,22 @@ class TestRunAll:
         for stem in ("headline", "episodes", "buckets", "r3_depth", "cox", "nulls"):
             assert (out / f"{stem}.csv").exists()
 
+    def test_price_file_read_once(self, tmp_path, gbm_csv, monkeypatch):
+        # episodes, r3 and the block-bootstrap null share one parse of the price file
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_price_csv(path)
+
+        monkeypatch.setattr(cli, "load_price_csv", counting)
+        rc = main(["run-all", "--prices", str(gbm_csv), "--data-dir", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "res"), "--models", "gbm,block_bootstrap",
+                   "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20",
+                   "--bootstrap-b", "200"])
+        assert rc == 0
+        assert calls == [gbm_csv]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "res"
         rc = main(["headline", "--synthetic", "--seed", "7", "--out", str(out),
@@ -348,8 +365,8 @@ class TestRunAll:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "cmd_episodes: need at least 10 observations to classify",
-            "cmd_r3: need >= 3 completed episodes, found 1",
+            "episodes: need at least 10 observations to classify",
+            "r3: need >= 3 completed episodes, found 1",
             "error: 2 sub-command(s) failed",
         ]
         assert sorted(p.name for p in out.iterdir()) == ["headline.csv", "nulls.csv", "panel.csv", "sweeps.csv"]
