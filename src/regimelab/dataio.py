@@ -108,16 +108,18 @@ def _read_csv(
         raise FileNotFoundError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        got = [h.strip() for h in next(reader, [])]
-        if got != header:
-            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}")
         rows, lines = [], []
         try:
+            got = [h.strip() for h in next(reader, [])]
+            if got != header:
+                raise ValueError(f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}")
             for row in filter(None, reader):
                 rows.append(row)
                 lines.append(reader.line_num)
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # decoded a block at a time, so no row number
+            raise ValueError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     for row, line in zip(rows, lines):

@@ -51,9 +51,8 @@ class BucketRow:
 def episode_arrays(closes: np.ndarray, delta: float):
     """Completed episodes with depth >= delta, as arrays.
 
-    Returns (peaks, troughs, recs, depth, last_high): the peak, trough and
-    recovery indices and the depths of the completed episodes in order, and
-    the index of the last all-time high.
+    Returns (peaks, troughs, recs, depth): the peak, trough and recovery
+    indices and the depths of the completed episodes, in order.
     """
     runmax = np.maximum.accumulate(closes)
     highs = np.flatnonzero(closes == runmax)  # exact: runmax propagates the same float
@@ -74,49 +73,7 @@ def episode_arrays(closes: np.ndarray, delta: float):
     pos = np.arange(int(lens.sum())) + np.repeat(peaks + 1 - offs, lens)
     hits = np.flatnonzero(closes[pos] == np.repeat(interior_min, lens))
     troughs = pos[hits[np.searchsorted(hits, offs)]]
-    return peaks, troughs, recs, depth, int(highs[-1])
-
-
-def _episodes_from_closes(closes: np.ndarray, delta: float, allow_censored: bool) -> list[Episode]:
-    n = closes.size
-    peaks, troughs, recs, depth, last_high = episode_arrays(closes, delta)
-    retention = closes[troughs] / closes[peaks]
-    out = [
-        Episode(
-            peak_idx=p,
-            trough_idx=t,
-            recovery_idx=r,
-            depth=d,
-            retention=ret,
-            t_dd=t - p,
-            t_rec=r - t,
-            tau=(r - t) / (t - p),
-            censored=False,
-        )
-        for p, t, r, d, ret in zip(
-            peaks.tolist(), troughs.tolist(), recs.tolist(), depth.tolist(), retention.tolist()
-        )
-    ]
-
-    if allow_censored and last_high < n - 1:
-        tail = closes[last_high + 1 :]
-        d = 1.0 - tail.min() / closes[last_high]
-        if d >= delta:
-            t = int(last_high + 1 + np.argmin(tail))
-            out.append(
-                Episode(
-                    peak_idx=last_high,
-                    trough_idx=t,
-                    recovery_idx=None,
-                    depth=float(d),
-                    retention=float(closes[t] / closes[last_high]),
-                    t_dd=int(t - last_high),
-                    t_rec=None,
-                    tau=None,
-                    censored=True,
-                )
-            )
-    return out
+    return peaks, troughs, recs, depth
 
 
 def detect_episodes(path: PricePath, delta: float = 0.05, allow_censored: bool = False) -> list[Episode]:
@@ -129,7 +86,30 @@ def detect_episodes(path: PricePath, delta: float = 0.05, allow_censored: bool =
         raise ValueError("delta must be in (0, 1)")
     if len(path) < 3:
         raise ValueError("path must have length >= 3")
-    return _episodes_from_closes(np.asarray(path.closes, dtype=float), delta, allow_censored)
+    closes = np.asarray(path.closes, dtype=float)
+    n = closes.size
+    if allow_censored:
+        # a +inf close "recovers" the trailing drawdown at index n; PricePath
+        # closes are finite, so only the censored episode can end there
+        closes = np.append(closes, np.inf)
+    peaks, troughs, recs, depth = episode_arrays(closes, delta)
+    retention = closes[troughs] / closes[peaks]
+    return [
+        Episode(
+            peak_idx=p,
+            trough_idx=t,
+            recovery_idx=None if r == n else r,
+            depth=d,
+            retention=ret,
+            t_dd=t - p,
+            t_rec=None if r == n else r - t,
+            tau=None if r == n else (r - t) / (t - p),
+            censored=r == n,
+        )
+        for p, t, r, d, ret in zip(
+            peaks.tolist(), troughs.tolist(), recs.tolist(), depth.tolist(), retention.tolist()
+        )
+    ]
 
 
 def episodes_to_rows(path: PricePath, episodes: list[Episode]) -> list[dict]:

@@ -294,7 +294,7 @@ def _run_slice(spec: NullSpec, start: int, stop: int) -> tuple[list[float], int,
         if closes is None:
             n_rejected += 1
             continue
-        peaks, troughs, recs, _, _ = episode_arrays(closes, spec.delta)
+        peaks, troughs, recs, _ = episode_arrays(closes, spec.delta)
         if not peaks.size:
             n_zero += 1
             continue

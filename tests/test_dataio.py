@@ -293,12 +293,20 @@ class TestOneRuleSet:
             with pytest.raises(ValueError, match="row 5: duplicate period 2020-01-03"):
                 load_exposure_csv(f)
 
-    def test_oversized_field_names_row(self, tmp_path):
+    @pytest.mark.parametrize("line", [0, 3])
+    def test_oversized_field_names_row(self, tmp_path, line):
         lines = good_lines("price")
-        lines[3] = replace_field(lines[3], 1, "1" * 200_000)
+        lines[line] = replace_field(lines[line], 1, "1" * 200_000)
         f = write_lines(tmp_path / "f.csv", lines)
-        with pytest.raises(ValueError, match="row 4: field larger than field limit"):
+        with pytest.raises(ValueError, match=rf"f\.csv: row {line + 1}: field larger than field limit"):
             load_price_csv(f)
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        f = write_lines(tmp_path / "f.csv", good_lines("price"))
+        f.write_bytes(f.read_bytes().replace(b"2020", b"\xff020", 1))
+        with pytest.raises(ValueError) as err:
+            load_price_csv(f)
+        assert str(f) in str(err.value) and "not UTF-8" in str(err.value)
 
     def test_blank_lines_skipped_and_counted(self, tmp_path):
         lines = good_lines("price")

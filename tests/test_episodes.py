@@ -72,16 +72,34 @@ class TestDetectEpisodes:
         assert episode_triples(eps) == [(2, 3, 4)]
         assert eps[0].depth == pytest.approx(1 - 60 / 101)
 
-    def test_censored_tail_emitted_only_on_request(self):
-        closes = [100, 105, 100, 80, 85]
+    @pytest.mark.parametrize(
+        "closes, censored",
+        [
+            pytest.param([100, 105, 100, 80, 85], (1, 3, None), id="trough_inside_tail"),
+            pytest.param([100, 105, 100, 90, 80], (1, 4, None), id="last_close_is_trough"),
+            pytest.param([100, 105, 90, 80, 95, 80, 85], (1, 3, None), id="tied_tail_min"),
+            pytest.param([100, 90, 80, 85], (0, 2, None), id="falls_from_start"),
+            pytest.param([100, 105, 90, 80, 105], None, id="last_close_regains_high"),
+            pytest.param([100, 110, 80, 111, 108, 107], None, id="tail_shallower_than_delta"),
+        ],
+    )
+    def test_censored_tail_emitted_only_on_request(self, closes, censored):
         path = make_price_path(closes)
-        assert detect_episodes(path, 0.05) == []
+        closes = np.asarray(closes, float)
+        completed = detect_episodes(path, 0.05)
+        assert not any(e.censored for e in completed)
+        assert episode_triples(completed) == brute_force_episodes(closes, 0.05)
         eps = detect_episodes(path, 0.05, allow_censored=True)
-        assert len(eps) == 1
-        e = eps[0]
-        assert e.censored and e.recovery_idx is None and e.tau is None
-        assert e.peak_idx == 1 and e.trough_idx == 3
-        assert e.depth == pytest.approx(1 - 80 / 105)
+        assert episode_triples(eps) == brute_force_episodes(closes, 0.05, True)
+        assert eps[: len(completed)] == completed
+        tail = eps[len(completed) :]
+        assert episode_triples(tail) == ([censored] if censored else [])
+        for e in tail:
+            p, t = e.peak_idx, e.trough_idx
+            assert e.censored and e.t_rec is None and e.tau is None
+            assert e.depth == 1.0 - closes[t] / closes[p]
+            assert e.retention == closes[t] / closes[p]
+            assert e.t_dd == t - p
 
     def test_nested_drawdown_not_split(self):
         # secondary slump inside an open episode never opens a new one
