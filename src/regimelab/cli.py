@@ -274,14 +274,24 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
         print("run-all: monthly panel missing, running headline on synthetic data")
         cfg = replace(cfg, synthetic=True)
     failures = _run("headline", cfg)
-    if cfg.price_path().exists():
-        failures += _run("episodes", cfg) + _run("r3", cfg)
-    else:
+    steps = ["episodes", "r3", "nulls", "cot"]
+    if not cfg.price_path().exists():
         print(
             "run-all: price CSV missing, data-conditional checks skipped "
             f"(episodes, r3; expected at {cfg.price_path()})"
         )
-    failures += _run("nulls", cfg) + _run("cot", cfg)
+        steps = ["nulls", "cot"]
+    else:
+        try:
+            cfg.price_series  # parsed here, so a bad file is read and reported once
+        except (ValueError, OSError) as exc:
+            print(f"run-all: {exc}", file=sys.stderr)
+            skipped = ["episodes", "r3"] + ["nulls"] * ("block_bootstrap" in cfg.models)
+            for step in skipped:
+                print(f"{step}: skipped, the price file could not be read", file=sys.stderr)
+            failures += len(skipped)
+            steps = [step for step in steps if step not in skipped]
+    failures += sum(_run(step, cfg) for step in steps)
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")
     print("run-all: complete")

@@ -19,20 +19,13 @@ import numpy as np
 from .dataio import MonthlyTable
 
 
-def _per_agent(value, n: int) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (n,)).copy()
-    if np.any(arr <= 0):
-        raise ValueError("per-agent parameters must be positive")
-    return arr
-
-
 @dataclass(frozen=True)
 class IntermediaryConfig:
     n_agents: int = 50
-    var_k: float | np.ndarray = 2.33        # VaR confidence multiplier, per agent
-    calm_drift: float | np.ndarray = 0.004  # per-period capital drift in calm
+    var_k: float = 2.33                     # VaR confidence multiplier, all agents
+    calm_drift: float = 0.004               # per-period capital drift in calm
     capital_noise_sd: float = 0.01          # level-independent calm capital noise
-    initial_capital: float | np.ndarray = 1.0
+    initial_capital: float = 1.0
     sigma_bar: float = 0.15                 # calm volatility level
     eps: float = 0.0025                     # relative variance of the vol noise
     stress_entry: float = 0.10              # P(stress at t+1 | calm at t)
@@ -55,8 +48,9 @@ class IntermediaryConfig:
                 raise ValueError("stress entry/exit probabilities must be in (0, 1)")
         if self.eps < 0 or self.capital_noise_sd < 0:
             raise ValueError("noise parameters must be >= 0")
-        if self.sigma_bar <= 0 or self.impact <= 0:
-            raise ValueError("sigma_bar and impact must be positive")
+        positive = (self.sigma_bar, self.impact, self.var_k, self.calm_drift, self.initial_capital)
+        if not all(x > 0 for x in positive):  # rejects NaN too
+            raise ValueError("sigma_bar, impact, var_k, calm_drift and initial_capital must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,8 +63,7 @@ class SimulatedPanel:
     config: IntermediaryConfig
 
     def agent_exposure(self) -> np.ndarray:
-        k = _per_agent(self.config.var_k, self.config.n_agents)
-        return self.capital / (k[None, :] * self.vol[:, None])
+        return self.capital / (self.config.var_k * self.vol[:, None])
 
     def rows(self) -> list[dict]:
         return [
@@ -100,10 +93,6 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
     """
     n, T = config.n_agents, config.T
     rng = np.random.default_rng(config.seed)
-    k = _per_agent(config.var_k, n)
-    rho = _per_agent(config.calm_drift, n)
-    c0 = _per_agent(config.initial_capital, n)
-
     u_chain = rng.random(T - 1)
     u_vol = rng.uniform(-1.0, 1.0, T)
     z_cap = rng.standard_normal((T - 1, n))
@@ -116,19 +105,19 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
             regime[t] = 0 if u_chain[t - 1] < config.stress_exit else 1
 
     capital = np.empty((T, n))
-    capital[0] = c0
+    capital[0] = config.initial_capital
     noise = config.capital_noise_sd * z_cap
     for t in range(1, T):
         if regime[t] == 1:
             capital[t] = (1.0 - config.stress_loss) * capital[t - 1]
         else:
-            capital[t] = capital[t - 1] + rho + noise[t - 1]
+            capital[t] = capital[t - 1] + config.calm_drift + noise[t - 1]
 
     xi = math.sqrt(3.0 * config.eps) * u_vol
     base = np.where(regime == 1, config.sigma_bar * config.stress_vol_mult, config.sigma_bar)
     vol = base * (1.0 + xi)
 
-    aggregate = (capital / k[None, :]).sum(axis=1) / vol
+    aggregate = (capital / config.var_k).sum(axis=1) / vol
 
     price = np.empty(T)
     price[0] = 100.0

@@ -12,6 +12,7 @@ reproducible path by path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -26,7 +27,7 @@ from .resample import derive_rng, stationary_block_indices
 DT = 1.0 / 252.0
 P0 = 100.0
 
-SLICES_PER_WORKER = 4  # path slices per pool process, so slow (Heston) slices even out
+SLICES_PER_WORKER = 4  # path slices per process, so workers slowed by other load still finish together
 
 
 @dataclass(frozen=True)
@@ -337,18 +338,21 @@ def run_null_studies(
 ) -> list[NullStudySummary]:
     """run_null_study's summary of each spec, in order.
 
-    With more than one worker, each study's paths are cut into contiguous
-    slices, about SLICES_PER_WORKER per process, and all studies' slices go
-    to one fork pool at once, so no process idles between studies. Path i
-    depends on (seed, i) only, so the summaries do not depend on `workers`.
+    Each study's paths are cut into SLICES_PER_WORKER contiguous slices per
+    process (some empty); with several processes, all studies' slices go to
+    one fork pool at once, so none idles between studies. Path i depends on
+    (seed, i) only, so the summaries do not depend on `workers`.
     """
     if comparator_tau <= 0:
         raise ValueError("comparator_tau must be positive")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    processes = min(workers, max((spec.n_paths for spec in specs), default=1))
-    if processes == 1 or not hasattr(os, "fork"):  # no fork (Windows): run in-process
-        parts = [[_run_slice(spec, 0, spec.n_paths)] for spec in specs]
+    # no fork (Windows): run in-process
+    processes = min(workers, max((s.n_paths for s in specs), default=1)) if hasattr(os, "fork") else 1
+    k = SLICES_PER_WORKER * processes
+    tasks = [(s, s.n_paths * j // k, s.n_paths * (j + 1) // k) for s in specs for j in range(k)]
+    if processes == 1:
+        parts = list(itertools.starmap(_run_slice, tasks))
     else:
         # imported here, not at the top, as importing it takes about 15 ms (2-CPU x86 host)
         import multiprocessing
@@ -356,17 +360,13 @@ def run_null_studies(
         # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
         import numpy.ma  # noqa: F401
 
-        # fork, not spawn: workers start with numpy and the specs already loaded
+        # fork, not spawn: workers start with numpy and the specs already loaded;
+        # chunksize=1 hands out one slice at a time, so the workers finish together
         with multiprocessing.get_context("fork").Pool(processes) as pool:
-            pending = []
-            for spec in specs:
-                k = min(spec.n_paths, SLICES_PER_WORKER * processes)
-                bounds = [spec.n_paths * j // k for j in range(k + 1)]
-                pending.append([pool.apply_async(_run_slice, (spec, a, b)) for a, b in zip(bounds, bounds[1:])])
-            parts = [[part.get() for part in study] for study in pending]
+            parts = pool.starmap(_run_slice, tasks, chunksize=1)
             pool.close()
             pool.join()
-    return [_summarise(spec, study, comparator_tau) for spec, study in zip(specs, parts)]
+    return [_summarise(spec, parts[i * k:(i + 1) * k], comparator_tau) for i, spec in enumerate(specs)]
 
 
 def run_null_study(spec: NullSpec, comparator_tau: float = 1.35, workers: int = 1) -> NullStudySummary:

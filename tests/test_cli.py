@@ -12,7 +12,7 @@ import regimelab
 from regimelab import cli
 from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import load_price_csv, read_table
-from regimelab.nullmodels import GbmParams, NullSpec, simulate_path, usable_cpus
+from regimelab.nullmodels import MODELS, GbmParams, NullSpec, simulate_path, usable_cpus
 
 
 def write_price_csv(path, closes, start="1990-01-02"):
@@ -339,6 +339,37 @@ class TestRunAll:
                    "--bootstrap-b", "200"])
         assert rc == 0
         assert calls == [gbm_csv]
+
+    # the nulls step needs the price file only for the block-bootstrap null
+    @pytest.mark.parametrize("models,skipped,written", [
+        (MODELS, ["episodes", "r3", "nulls"], ["headline", "panel", "sweeps"]),
+        (("gbm",), ["episodes", "r3"], ["headline", "nulls", "panel", "sweeps"]),
+    ])
+    def test_unreadable_price_file_read_and_reported_once(self, tmp_path, gbm_csv, monkeypatch, capsys,
+                                                          models, skipped, written):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_price_csv(path)
+
+        monkeypatch.setattr(cli, "load_price_csv", counting)
+        lines = gbm_csv.read_bytes().splitlines(keepends=True)[:400]
+        lines[200] = lines[200].replace(b",", b",\xff", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        out = tmp_path / "res"
+        rc = main(["run-all", "--prices", str(bad), "--data-dir", str(tmp_path / "missing"),
+                   "--out", str(out), "--models", ",".join(models), "--paths", "4", "--days", "1000",
+                   "--periods", "240", "--agents", "20", "--bootstrap-b", "50"])
+        assert rc == 1
+        assert calls == [bad]
+        assert capsys.readouterr().err.splitlines() == [
+            f"run-all: {bad}: not UTF-8 text",
+            *(f"{step}: skipped, the price file could not be read" for step in skipped),
+            f"error: {len(skipped)} sub-command(s) failed",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == [f"{stem}.csv" for stem in written]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "res"

@@ -117,6 +117,10 @@ class TestSimulate:
             IntermediaryConfig(stress_loss=1.5)
         with pytest.raises(ValueError):
             IntermediaryConfig(stress_entry=0.0)
+        # rejected when built, not first inside simulate
+        for kw in (dict(var_k=0), dict(calm_drift=-0.001), dict(initial_capital=0), dict(var_k=float("nan"))):
+            with pytest.raises(ValueError, match="must be positive"):
+                IntermediaryConfig(**kw)
 
     @pytest.mark.parametrize("kw,message", [
         (dict(impact=2.5), "simulated price is -23.5959 at t=3;"),

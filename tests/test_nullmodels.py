@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from regimelab.nullmodels import (
     _heston_steps,
     _markov_steps,
     _run_slice,
+    run_null_studies,
     run_null_study,
     simulate_path,
     usable_cpus,
@@ -273,6 +275,14 @@ class TestWorkers:
         parts = [_run_slice(spec, a, min(a + size, spec.n_paths)) for a in range(0, spec.n_paths, size)]
         joined = ([m for p in parts for m in p[0]], sum(p[1] for p in parts), sum(p[2] for p in parts))
         assert joined == _run_slice(spec, 0, spec.n_paths)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_studies_with_fewer_paths_than_slices(self, workers):
+        # with 1 and 3 paths, some of the SLICES_PER_WORKER slices per process are empty
+        specs = [replace(_study_spec(model), n_paths=n)
+                 for model, n in (("gbm", 1), ("markov_rs", 3), ("block_bootstrap", 12))]
+        want = [run_null_study(spec, 1.35, workers=1).row() for spec in specs]
+        assert [s.row() for s in run_null_studies(specs, 1.35, workers=workers)] == want
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
