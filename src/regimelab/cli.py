@@ -186,11 +186,11 @@ def cmd_r3(cfg: RunConfig) -> Tables:
     if len(completed) < 3:
         raise ValueError(f"need >= 3 completed episodes, found {len(completed)}")
 
-    fit = depth_regression(eps, lags=cfg.lags)
+    fit = depth_regression(completed, lags=cfg.lags)
     rows = [{"variant": "full", **r} for r in fit.rows()]
     outliers = [e for e in completed if str(path.dates[e.peak_idx]).startswith("1980-11")]
     if outliers:
-        reduced = [e for e in eps if e not in outliers]
+        reduced = [e for e in completed if e not in outliers]
         fit_x = depth_regression(reduced, lags=cfg.lags)
         rows += [{"variant": "excl_1980-11", **r} for r in fit_x.rows()]
     else:

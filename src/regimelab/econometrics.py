@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ def _normal_p(t: float) -> float:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Coefficients with HAC sandwich inference and optional derived combinations."""
+    """Coefficients with HAC sandwich inference."""
 
     names: tuple[str, ...]
     coef: np.ndarray
@@ -35,19 +35,12 @@ class RegressionFit:
     p: np.ndarray
     nobs: int
     lags: int
-    combos: list[dict] = field(default_factory=list)
 
     def rows(self) -> list[dict]:
-        out = [
+        return [
             {"coef": n, "estimate": float(b), "hac_se": float(s), "t": float(t), "p": float(p)}
             for n, b, s, t, p in zip(self.names, self.coef, self.se, self.t, self.p)
         ]
-        for c in self.combos:
-            out.append(
-                {"coef": c["name"], "estimate": c["estimate"], "hac_se": c["se"],
-                 "t": c["t"], "p": c["p"]}
-            )
-        return out
 
 
 def ols_hac(
@@ -55,7 +48,6 @@ def ols_hac(
     X: np.ndarray,
     lags: int,
     names: tuple[str, ...] | None = None,
-    combos: list[tuple[str, np.ndarray]] | None = None,
 ) -> RegressionFit:
     """OLS with a Bartlett-weighted Newey-West covariance (lags=0 gives White).
 
@@ -100,17 +92,7 @@ def ols_hac(
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
     p = np.array([_normal_p(v) for v in t])
-
-    combo_rows = []
-    for name, c in combos or []:
-        c = np.asarray(c, dtype=float)
-        est = float(c @ beta)
-        var = float(c @ cov @ c)
-        cse = math.sqrt(max(var, 0.0))
-        ct = est / cse if cse > 0 else (0.0 if est == 0 else math.inf * np.sign(est))
-        combo_rows.append({"name": name, "estimate": est, "se": cse, "t": float(ct), "p": _normal_p(ct)})
-
-    return RegressionFit(tuple(names), beta, cov, se, t, p, n, lags, combo_rows)
+    return RegressionFit(tuple(names), beta, cov, se, t, p, n, lags)
 
 
 @dataclass(frozen=True)
@@ -144,7 +126,10 @@ class HeadlineFit:
         return float(self.fit.coef[3])
 
     def rows(self) -> list[dict]:
-        return self.fit.rows()
+        s = self.stress_slope
+        return self.fit.rows() + [
+            {"coef": s["name"], "estimate": s["estimate"], "hac_se": s["se"], "t": s["t"], "p": s["p"]}
+        ]
 
 
 def headline_regression(panel: MonthlyPanel, lags: int = 6, lag_regime: int = 0) -> HeadlineFit:
@@ -167,14 +152,14 @@ def headline_regression(panel: MonthlyPanel, lags: int = 6, lag_regime: int = 0)
     if n_stress == 0 or n_stress == s_t.size:
         raise ValueError("regime interaction unidentified: sample is all-calm or all-stress")
     X = np.column_stack([np.ones_like(y), s_t, level, s_t * level])
-    fit = ols_hac(
-        y, X, lags, names=HEADLINE_NAMES,
-        combos=[("b_plus_bS", np.array([0.0, 0.0, 1.0, 1.0]))],
-    )
-    combo = fit.combos[0]
+    fit = ols_hac(y, X, lags, names=HEADLINE_NAMES)
+    c = np.array([0.0, 0.0, 1.0, 1.0])  # b + b_S
+    est = float(c @ fit.coef)
+    se = math.sqrt(max(float(c @ fit.hac_cov @ c), 0.0))
+    t = est / se if se > 0 else (0.0 if est == 0 else math.inf * np.sign(est))
     return HeadlineFit(
         fit=fit,
-        stress_slope=combo,
+        stress_slope={"name": "b_plus_bS", "estimate": est, "se": se, "t": float(t), "p": _normal_p(t)},
         wald_p=float(fit.p[3]),
         n_stress=n_stress,
         threshold=panel.threshold,

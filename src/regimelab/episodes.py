@@ -220,10 +220,10 @@ def bucket_rows_to_records(rows: list[BucketRow]) -> list[dict]:
     ]
 
 
-def delta_sensitivity(path: PricePath, deltas: tuple[float, ...] = DELTA_SWEEP) -> list[dict]:
+def delta_sensitivity(path: PricePath) -> list[dict]:
     """Episode counts and medians across minimum-depth thresholds."""
     out = []
-    for delta in deltas:
+    for delta in DELTA_SWEEP:
         eps = detect_episodes(path, delta=delta)
         taus = [e.tau for e in eps]
         deep = [e.tau for e in eps if e.depth >= 0.30]

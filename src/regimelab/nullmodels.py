@@ -341,10 +341,11 @@ def run_null_studies(
     Each study's paths are cut into SLICES_PER_WORKER contiguous slices per
     process (some empty); with several processes, all studies' slices go to
     one fork pool at once, so none idles between studies. Path i depends on
-    (seed, i) only, so the summaries do not depend on `workers`.
+    (seed, i) only, so the summaries do not depend on `workers`. A worker
+    that dies raises ChildProcessError.
     """
-    if comparator_tau <= 0:
-        raise ValueError("comparator_tau must be positive")
+    if not 0 < comparator_tau < math.inf:
+        raise ValueError(f"comparator must be positive and finite, got {comparator_tau}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     # no fork (Windows): run in-process
@@ -354,18 +355,24 @@ def run_null_studies(
     if processes == 1:
         parts = list(itertools.starmap(_run_slice, tasks))
     else:
-        # imported here, not at the top, as importing it takes about 15 ms (2-CPU x86 host)
+        # imported here, not at the top, as importing them takes about 15 ms (2-CPU x86 host)
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
         import numpy.ma  # noqa: F401
 
         # fork, not spawn: workers start with numpy and the specs already loaded;
-        # chunksize=1 hands out one slice at a time, so the workers finish together
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            parts = pool.starmap(_run_slice, tasks, chunksize=1)
-            pool.close()
-            pool.join()
+        # map hands out one slice at a time, so the workers finish together; unlike
+        # multiprocessing.Pool, which waits forever, the executor fails when a worker dies
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+        try:
+            parts = list(pool.map(_run_slice, *zip(*tasks)))
+        except BrokenProcessPool:
+            raise ChildProcessError("a null-study worker process died before finishing its slice") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [_summarise(spec, parts[i * k:(i + 1) * k], comparator_tau) for i, spec in enumerate(specs)]
 
 

@@ -12,7 +12,6 @@ SWEEP_QUANTILES = (0.20, 0.15, 0.10, 0.05)  # tail fractions for the 80/85/90/95
 @dataclass(frozen=True)
 class RegimeClassification:
     threshold: float
-    q: float
     flags: np.ndarray  # int {0,1}
     n_stress: int
 
@@ -33,7 +32,7 @@ def classify(vol: np.ndarray, q: float = 0.10) -> RegimeClassification:
         raise ValueError("volatility series contains non-finite values")
     threshold = float(np.quantile(vol, 1.0 - q))
     flags = (vol > threshold).astype(int)
-    return RegimeClassification(threshold, q, flags, int(flags.sum()))
+    return RegimeClassification(threshold, flags, int(flags.sum()))
 
 
 def lag_flags(flags: np.ndarray, k: int) -> np.ndarray:

@@ -37,24 +37,16 @@ def stationary_block_indices(n: int, mean_block: float, rng: np.random.Generator
     return idx
 
 
-def percentile_ci_median(
-    values: np.ndarray,
-    B: int,
-    level: float = 0.95,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for the median: B iid resamples with replacement."""
+def percentile_ci_median(values: np.ndarray, B: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap 95% CI for the median: B iid resamples with replacement."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("values must be non-empty")
     if B < 1:
         raise ValueError("B must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
     idx = rng.integers(0, values.size, size=(B, values.size))
     medians = np.median(values[idx], axis=1)
-    alpha = 100.0 * (1.0 - level) / 2.0
+    # as written, not 2.5: this is 2.500000000000002, and the CIs are pinned to it
+    alpha = 100.0 * (1.0 - 0.95) / 2.0
     lo, hi = np.percentile(medians, [alpha, 100.0 - alpha])
     return float(lo), float(hi)

@@ -93,11 +93,12 @@ def _limit_scores(x, groups):
     return up, lo
 
 
-def cox_fit(durations, events, covariate, tol: float = 1e-8, max_iter: int = 100) -> CoxFit:
+def cox_fit(durations, events, covariate) -> CoxFit:
     """Fit hazard(t | x) = h0(t) exp(gamma x) by Breslow partial likelihood.
 
-    Newton-Raphson from gamma=0 with step-halving; standard error from the
-    inverse observed information. Monotone likelihoods (perfect separation)
+    Newton-Raphson from gamma=0 with step-halving, for at most 100 steps and
+    until a step is below 1e-8 or the score below 1e-10; standard error from
+    the inverse observed information. Monotone likelihoods (perfect separation)
     are detected exactly from the limiting scores and raised as errors.
     """
     dur, ev, x_raw = _prepare(durations, events, covariate)
@@ -111,8 +112,7 @@ def cox_fit(durations, events, covariate, tol: float = 1e-8, max_iter: int = 100
 
     gamma = 0.0
     ll, score, info = _loglik_score_info(gamma, x, groups)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         if info <= 0:
             raise ValueError("non-finite MLE: information is not positive")
         step = score / info
@@ -126,7 +126,7 @@ def cox_fit(durations, events, covariate, tol: float = 1e-8, max_iter: int = 100
             halvings += 1
         delta = abs(new_gamma - gamma)
         gamma, ll, score, info = new_gamma, new_ll, new_score, new_info
-        if delta < tol or abs(score) < 1e-10:
+        if delta < 1e-8 or abs(score) < 1e-10:
             break
 
     se = 1.0 / math.sqrt(info)

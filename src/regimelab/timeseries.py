@@ -20,7 +20,6 @@ class DetrendFit:
     months for the EMA scheme.
     """
 
-    scheme: str
     params: tuple[float, float] | float
     detrended: np.ndarray
 
@@ -75,14 +74,14 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
             raise ValueError("log_linear detrending requires a positive series")
         intercept, slope = _ols_line(t, np.log(y))
         trend = np.exp(intercept + slope * t)
-        return DetrendFit("log_linear", (intercept, slope), y / trend)
+        return DetrendFit((intercept, slope), y / trend)
 
     if scheme == "linear":
         intercept, slope = _ols_line(t, y)
         trend = intercept + slope * t
         if np.any(trend <= 0):
             raise ValueError("linear fitted trend crosses zero; detrending undefined")
-        return DetrendFit("linear", (intercept, slope), y / trend)
+        return DetrendFit((intercept, slope), y / trend)
 
     # ema
     half_life = 12.0 if param is None else float(param)
@@ -95,4 +94,4 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
     ema[0] = y[0]
     for i in range(1, y.size):
         ema[i] = (1.0 - alpha) * ema[i - 1] + alpha * y[i]
-    return DetrendFit("ema", half_life, y / ema)
+    return DetrendFit(half_life, y / ema)

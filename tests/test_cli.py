@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,10 @@ import pytest
 import regimelab
 from regimelab import cli
 from regimelab.cli import _models, build_parser, config_from_args, main
-from regimelab.dataio import load_price_csv, read_table
+from regimelab.dataio import load_price_csv, read_table, write_table
+from regimelab.econometrics import depth_regression
+from regimelab.episodes import detect_episodes
+from regimelab.intermediary import IntermediaryConfig, simulate, to_monthly_table
 from regimelab.nullmodels import MODELS, GbmParams, NullSpec, simulate_path, usable_cpus
 
 
@@ -52,6 +56,20 @@ class TestHeadlineCmd:
         rc = main(["headline", "--out", str(tmp_path / "r")])
         assert rc != 0
         assert "nowhere" in capsys.readouterr().err
+
+    def test_monthly_file_gives_the_synthetic_tables(self, tmp_path):
+        # the synthetic panel, written with full-precision floats, reads back unchanged
+        cfg = cli.RunConfig()
+        table = to_monthly_table(simulate(IntermediaryConfig(n_agents=cfg.agents, T=cfg.periods, seed=cfg.seed)))
+        f = tmp_path / "monthly.csv"
+        f.write_text("\n".join(["month,margin_debt,vix"] + [
+            f"{m},{float(a)!r},{float(v)!r}" for m, a, v in zip(table.months, table.margin_debt, table.vol_proxy)
+        ]) + "\n")
+        assert main(["headline", "--monthly", str(f), "--out", str(tmp_path / "file")]) == 0
+        assert main(["headline", "--synthetic", "--out", str(tmp_path / "synth")]) == 0
+        for stem in ("headline", "sweeps", "panel"):
+            got = (tmp_path / "file" / f"{stem}.csv").read_bytes()
+            assert got == (tmp_path / "synth" / f"{stem}.csv").read_bytes()
 
 
 class TestEpisodesCmd:
@@ -99,6 +117,13 @@ class TestEpisodesCmd:
         assert rc != 0
         assert "date,close" in capsys.readouterr().err
 
+    def test_no_episode_at_delta(self, tmp_path, gbm_csv, capsys):
+        out = tmp_path / "res"
+        rc = main(["episodes", "--prices", str(gbm_csv), "--out", str(out), "--delta", "0.9"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["no episodes with depth >= 0.9"]
+        assert not out.exists()
+
 
 class TestR3Cmd:
     def test_full_outputs(self, tmp_path, gbm_csv):
@@ -109,6 +134,23 @@ class TestR3Cmd:
         assert {r["variant"] for r in depth_rows} == {"full"}
         cox = read_table(out / "cox.csv")[0]
         assert list(cox.keys()) == ["gamma", "se", "z", "p", "hr_per_10pp", "n_events", "n_censored"]
+
+    def test_excludes_the_1980_11_peak(self, tmp_path, gbm_csv):
+        # the same closes, dated so that one completed episode peaks on 1980-11-15
+        base = load_price_csv(gbm_csv)
+        peak = detect_episodes(base, 0.05)[14].peak_idx
+        f = write_price_csv(tmp_path / "p.csv", base.closes, start=str(np.datetime64("1980-11-15") - peak))
+        path = load_price_csv(f)
+        completed = [e for e in detect_episodes(path, 0.05, allow_censored=True) if not e.censored]
+        others = [e for e in completed if not str(path.dates[e.peak_idx]).startswith("1980-11")]
+        assert len(others) == len(completed) - 1
+        out = tmp_path / "res"
+        assert main(["r3", "--prices", str(f), "--out", str(out)]) == 0
+        want = tmp_path / "want.csv"
+        write_table([{"variant": "excl_1980-11", **r} for r in depth_regression(others).rows()], want)
+        rows = read_table(out / "r3_depth.csv")
+        assert [r for r in rows if r["variant"] == "excl_1980-11"] == read_table(want)
+        assert [r["variant"] for r in rows] == ["full"] * 2 + ["excl_1980-11"] * 2
 
     def test_series_ending_on_open_trough(self, tmp_path):
         # the censored episode's duration last_idx - trough_idx is 0
@@ -202,6 +244,62 @@ class TestNullsCmd:
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("comparator", ["nan", "inf", "0"])
+    def test_comparator_not_positive_finite(self, tmp_path, capsys, comparator):
+        out = tmp_path / "r"
+        rc = main(["nulls", "--models", "gbm", "--paths", "4", "--days", "300", "--comparator", comparator,
+                   "--out", str(out), "--data-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: comparator must be positive and finite, got {float(comparator)}"
+        ]
+        assert not out.exists()
+
+    # the worker that runs the first slice exits at once, as one killed by the OOM killer would
+    DYING_WORKER = """\
+import os, sys
+from regimelab import cli, nullmodels
+
+run_slice = nullmodels._run_slice
+
+def dying_slice(spec, start, stop):
+    if start == 0:
+        os._exit(1)
+    return run_slice(spec, start, stop)
+
+nullmodels._run_slice = dying_slice
+cli.usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool needs fork")
+    @pytest.mark.parametrize("command", ["nulls", "run-all"])
+    def test_dead_worker_fails_the_command(self, tmp_path, command):
+        # a pool that waits for the lost slice forever is killed at the timeout, and the test fails
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.DYING_WORKER, command, "--models", "gbm", "--paths", "8",
+             "--days", "300", "--out", "res", "--data-dir", "none"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the command and its pool's workers
+            proc.communicate()
+            pytest.fail(f"{command} still ran 60 s after a worker died")
+        assert proc.returncode == 1
+        reason = "a null-study worker process died before finishing its slice"
+        if command == "nulls":
+            assert err.splitlines() == [f"error: {reason}"]
+            assert not (tmp_path / "res").exists()
+        else:
+            assert err.splitlines() == [f"nulls: {reason}", "error: 1 sub-command(s) failed"]
+            assert "NOT ESTIMATED" in out  # cot still ran
+            assert sorted(p.name for p in (tmp_path / "res").iterdir()) == ["headline.csv", "panel.csv", "sweeps.csv"]
 
     @pytest.mark.parametrize("models", ["", ","])
     def test_no_model_names_flag(self, tmp_path, capsys, models):

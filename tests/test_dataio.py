@@ -125,7 +125,8 @@ class TestLoadExposureCsv:
             tmp_path / "c.csv",
             ["period,exposure,vol", "2020-01-03,50,20.0", "2020-01-17,52,19.0", "2020-01-10,51,18.0"],
         )
-        table = load_exposure_csv(f)
+        with pytest.warns(UserWarning, match="sorted by period"):
+            table = load_exposure_csv(f)
         assert table.months == ["2020-01-03", "2020-01-10", "2020-01-17"]
         assert list(table.margin_debt) == [50.0, 51.0, 52.0]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,15 +75,6 @@ class TestOlsHac:
         with pytest.raises(ValueError, match="dup"):
             ols_hac(np.arange(30.0), X, 0, names=("const", "x", "dup"))
 
-    def test_combo_row(self):
-        rng = np.random.default_rng(18)
-        y, X = random_instance(rng, n=50)
-        fit = ols_hac(y, X, 0, combos=[("sum01", np.array([1.0, 1.0, 0.0]))])
-        c = fit.combos[0]
-        assert c["estimate"] == pytest.approx(fit.coef[0] + fit.coef[1])
-        var = fit.hac_cov[0, 0] + fit.hac_cov[1, 1] + 2 * fit.hac_cov[0, 1]
-        assert c["se"] == pytest.approx(np.sqrt(var))
-
 
 def manual_panel(detrended, vol, threshold, q=0.10):
     months = [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(len(detrended))]
@@ -125,7 +118,13 @@ class TestHeadlineRegression:
         fit = headline_regression(self.synthetic_panel(seed=5), lags=6)
         cov = fit.fit.hac_cov
         var = cov[2, 2] + cov[3, 3] + 2 * cov[2, 3]
-        assert fit.stress_slope["se"] == pytest.approx(np.sqrt(var))
+        s = fit.stress_slope
+        assert s["estimate"] == pytest.approx(fit.b + fit.b_S, abs=1e-12)
+        assert s["se"] == pytest.approx(np.sqrt(var))
+        assert s["t"] == pytest.approx(s["estimate"] / s["se"])
+        assert s["p"] == pytest.approx(math.erfc(abs(s["t"]) / math.sqrt(2.0)))
+        assert fit.rows()[-1] == {"coef": "b_plus_bS", "estimate": s["estimate"],
+                                  "hac_se": s["se"], "t": s["t"], "p": s["p"]}
 
     def test_rescaling_detrended_level(self):
         rng = np.random.default_rng(21)
@@ -232,6 +231,16 @@ class TestRobustnessSweep:
         )
         rows = robustness_sweep(panel, detrend_schemes=(), subsample_splits=())
         assert all(r["status"].startswith("failed") and r["b_S"] is None for r in rows)
+
+    @pytest.mark.parametrize("last,status", [("2001-11", "failed: sub-sample too short"), ("2001-12", "ok")])
+    def test_subsample_below_24_months_not_fitted(self, last, status):
+        # 2000-01..2001-11 is 23 months, one short of the 24 a sub-sample needs
+        panel = TestHeadlineRegression.synthetic_panel(seed=7)
+        rows = robustness_sweep(panel, thresholds=(), detrend_schemes=(),
+                                subsample_splits=(("short", "2000-01", last),))
+        assert [(r["sweep"], r["cell"], r["status"]) for r in rows] == [("subsample", "short", status)]
+        if status != "ok":
+            assert all(rows[0][k] is None for k in ("b", "b_S", "p_bS", "stress_slope", "n_stress"))
 
     def test_full_sweep_has_all_sections(self):
         panel = TestHeadlineRegression.synthetic_panel(seed=7)

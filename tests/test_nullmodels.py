@@ -210,8 +210,9 @@ class TestRunNullStudy:
 
     def test_bad_comparator(self):
         spec = NullSpec("gbm", GbmParams(), n_days=300, n_paths=2, seed=1)
-        with pytest.raises(ValueError, match="comparator"):
-            run_null_study(spec, 0.0)
+        for comparator in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="comparator must be positive and finite"):
+                run_null_study(spec, comparator)
 
     def test_zero_episode_paths_counted(self):
         # modest drift and vol over 300 days: 3 of 10 paths never complete a 5% episode

@@ -110,12 +110,12 @@ class TestPercentileCiMedian:
 
     def test_empty_values(self):
         with pytest.raises(ValueError, match="non-empty"):
-            percentile_ci_median(np.array([]), B=10)
+            percentile_ci_median(np.array([]), B=10, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("B", [0, -3])
     def test_rejects_B_below_one(self, B):
         with pytest.raises(ValueError, match="B must be >= 1"):
-            percentile_ci_median(np.array([1.0, 2.0]), B=B)
+            percentile_ci_median(np.array([1.0, 2.0]), B=B, rng=np.random.default_rng(0))
 
 
 class TestDeriveRng:
