@@ -162,7 +162,7 @@ def cmd_episodes(cfg: RunConfig) -> Tables:
         print(f"no episodes with depth >= {cfg.delta}")
         return []
     buckets = bucket_stats(eps, bootstrap_B=cfg.bootstrap_b, seed=cfg.seed)
-    n_deep = sum(1 for e in eps if e.depth >= 0.30)
+    n_deep = buckets[-2].n  # the >30% bucket; the last row is all episodes
     n_cens = sum(1 for e in eps if e.censored)
     print(f"episodes: {len(eps)} at delta={cfg.delta} ({n_deep} deeper than 30%, {n_cens} censored)")
 
@@ -205,7 +205,7 @@ def cmd_r3(cfg: RunConfig) -> Tables:
     print(f"r3 depth regression: beta = {beta:+.4f} (p = {fit.p[1]:.4g}) on {fit.nobs} episodes")
     print(
         f"cox: gamma = {cox.gamma:+.4f} (se {cox.se:.4f}, z {cox.z:+.3f}), "
-        f"hazard ratio per 10pp depth = {cox.hazard_ratio_per_0p10:.3f}"
+        f"hazard ratio per 10pp depth = {cox.hr_per_10pp:.3f}"
     )
     return [("r3_depth", rows), ("cox", [cox.row()])]
 

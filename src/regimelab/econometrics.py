@@ -100,7 +100,7 @@ class HeadlineFit:
     """Regime-interacted regression of exposure changes on the lagged level.
 
     Coefficient order: calm intercept a, stress intercept shift a_S, calm
-    slope b, stress slope shift b_S; stress_slope is the derived b + b_S row.
+    slope b, stress slope shift b_S; stress_slope is the b + b_S row of rows().
     """
 
     fit: RegressionFit
@@ -126,10 +126,7 @@ class HeadlineFit:
         return float(self.fit.coef[3])
 
     def rows(self) -> list[dict]:
-        s = self.stress_slope
-        return self.fit.rows() + [
-            {"coef": s["name"], "estimate": s["estimate"], "hac_se": s["se"], "t": s["t"], "p": s["p"]}
-        ]
+        return self.fit.rows() + [self.stress_slope]
 
 
 def headline_regression(panel: MonthlyPanel, lags: int = 6, lag_regime: int = 0) -> HeadlineFit:
@@ -159,7 +156,7 @@ def headline_regression(panel: MonthlyPanel, lags: int = 6, lag_regime: int = 0)
     t = est / se if se > 0 else (0.0 if est == 0 else math.inf * np.sign(est))
     return HeadlineFit(
         fit=fit,
-        stress_slope={"name": "b_plus_bS", "estimate": est, "se": se, "t": float(t), "p": _normal_p(t)},
+        stress_slope={"coef": "b_plus_bS", "estimate": est, "hac_se": se, "t": float(t), "p": _normal_p(t)},
         wald_p=float(fit.p[3]),
         n_stress=n_stress,
         threshold=panel.threshold,

@@ -9,7 +9,7 @@ recovery uses a weak >= comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,10 +39,12 @@ class Episode:
 
 @dataclass(frozen=True)
 class BucketRow:
-    label: str
+    """One row of the buckets table; the fields are its columns, in order."""
+
+    bucket: str
     n: int
     median_retention: float | None
-    median_t_dd: float | None
+    median_dd_days: float | None
     median_tau: float | None
     ci_low: float | None
     ci_high: float | None
@@ -160,10 +162,10 @@ def _bucket_row(label: str, members: list[Episode], B: int, rng, mean_block: int
     if taus:
         ci_low, ci_high = _median_ci(np.array(taus), B, rng, mean_block)
     return BucketRow(
-        label=label,
+        bucket=label,
         n=len(members),
         median_retention=_median_or_none([e.retention for e in members]),
-        median_t_dd=_median_or_none([float(e.t_dd) for e in members]),
+        median_dd_days=_median_or_none([float(e.t_dd) for e in members]),
         median_tau=_median_or_none(taus),
         ci_low=ci_low,
         ci_high=ci_high,
@@ -206,18 +208,7 @@ def bucket_stats(
 
 
 def bucket_rows_to_records(rows: list[BucketRow]) -> list[dict]:
-    return [
-        {
-            "bucket": r.label,
-            "n": r.n,
-            "median_retention": r.median_retention,
-            "median_dd_days": r.median_t_dd,
-            "median_tau": r.median_tau,
-            "ci_low": r.ci_low,
-            "ci_high": r.ci_high,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]
 
 
 def delta_sensitivity(path: PricePath) -> list[dict]:
@@ -226,7 +217,7 @@ def delta_sensitivity(path: PricePath) -> list[dict]:
     for delta in DELTA_SWEEP:
         eps = detect_episodes(path, delta=delta)
         taus = [e.tau for e in eps]
-        deep = [e.tau for e in eps if e.depth >= 0.30]
+        deep = [e.tau for e in eps if e.depth >= BUCKET_EDGES[-1][0]]
         out.append(
             {
                 "delta": delta,

@@ -67,7 +67,6 @@ class HestonParams:
     kappa: float = 5.0
     xi: float = 0.5
     rho: float = -0.75
-    v0: float | None = None  # None -> vbar
     eps_v: float = 1e-3
     max_zero_frac: float = 0.05
 
@@ -247,9 +246,8 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
         z1 = rng.standard_normal(n_steps)
         w = rng.standard_normal(n_steps)
         z2 = p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * w
-        v0 = p.vbar if p.v0 is None else p.v0
         steps, _, n_degenerate = _heston_steps(
-            z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, v0, p.eps_v
+            z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, p.vbar, p.eps_v
         )
         if n_degenerate / n_steps > p.max_zero_frac:
             return None
@@ -357,6 +355,7 @@ def run_null_studies(
     else:
         # imported here, not at the top, as importing them takes about 15 ms (2-CPU x86 host)
         import multiprocessing
+        import signal
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
@@ -365,8 +364,10 @@ def run_null_studies(
 
         # fork, not spawn: workers start with numpy and the specs already loaded;
         # map hands out one slice at a time, so the workers finish together; unlike
-        # multiprocessing.Pool, which waits forever, the executor fails when a worker dies
-        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+        # multiprocessing.Pool, which waits forever, the executor fails when a worker dies;
+        # workers take SIGINT's default action, so Ctrl-C ends them mid-slice
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
         try:
             parts = list(pool.map(_run_slice, *zip(*tasks)))
         except BrokenProcessPool:

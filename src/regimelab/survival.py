@@ -7,7 +7,7 @@ log-likelihood with step-halving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,22 +18,17 @@ class CoxFit:
     se: float
     z: float
     p: float
-    hazard_ratio_per_0p10: float
+    hr_per_10pp: float
     n_events: int
     n_censored: int
     loglik: float
     iterations: int
 
     def row(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "se": self.se,
-            "z": self.z,
-            "p": self.p,
-            "hr_per_10pp": self.hazard_ratio_per_0p10,
-            "n_events": self.n_events,
-            "n_censored": self.n_censored,
-        }
+        """The cox table's row: every field but the fit diagnostics loglik and iterations."""
+        row = asdict(self)
+        del row["loglik"], row["iterations"]
+        return row
 
 
 def _prepare(durations, events, covariate):
@@ -136,7 +131,7 @@ def cox_fit(durations, events, covariate) -> CoxFit:
         se=float(se),
         z=float(z),
         p=math.erfc(abs(z) / math.sqrt(2.0)),
-        hazard_ratio_per_0p10=math.exp(0.10 * gamma),
+        hr_per_10pp=math.exp(0.10 * gamma),
         n_events=int(ev.sum()),
         n_censored=int((1 - ev).sum()),
         loglik=float(ll),

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
+import json
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,17 @@ class TestEpisodesCmd:
         sens = read_table(out / "delta_sensitivity.csv")
         assert [r["delta"] for r in sens] == [0.03, 0.05, 0.1]
         assert (out / "volseries.csv").exists()
+
+    def test_bucket_columns(self, tmp_path, gbm_csv):
+        # BucketRow's field order is the buckets table's column order, in both formats
+        columns = ["bucket", "n", "median_retention", "median_dd_days", "median_tau", "ci_low", "ci_high"]
+        for fmt in ("csv", "json"):
+            rc = main(["episodes", "--prices", str(gbm_csv), "--out", str(tmp_path / fmt),
+                       "--format", fmt, "--bootstrap-b", "50"])
+            assert rc == 0
+        assert (tmp_path / "csv/buckets.csv").read_text().splitlines()[0] == ",".join(columns)
+        rows = json.loads((tmp_path / "json/buckets.json").read_text())
+        assert [list(r) for r in rows] == [columns] * 5
 
     @pytest.mark.parametrize("b", ["0", "-2"])
     def test_bootstrap_b_below_one(self, tmp_path, gbm_csv, capsys, b):
@@ -300,6 +313,55 @@ sys.exit(cli.main(sys.argv[1:]))
             assert err.splitlines() == [f"nulls: {reason}", "error: 1 sub-command(s) failed"]
             assert "NOT ESTIMATED" in out  # cot still ran
             assert sorted(p.name for p in (tmp_path / "res").iterdir()) == ["headline.csv", "panel.csv", "sweeps.csv"]
+
+    # each worker leaves a file named after its pid when it starts its first slice
+    BUSY_WORKERS = """\
+import os, sys
+from regimelab import cli, nullmodels
+
+run_slice = nullmodels._run_slice
+
+def marked_slice(spec, start, stop):
+    open(f"busy-{os.getpid()}", "w").close()
+    return run_slice(spec, start, stop)
+
+nullmodels._run_slice = marked_slice
+cli.usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
+                        reason="the worker pool needs fork and two usable CPUs")
+    def test_ctrl_c_ends_the_workers(self, tmp_path):
+        # 500-path Heston slices of 19,170 days run for several seconds; a worker
+        # that survives Ctrl-C finishes its slice before the command can end
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.BUSY_WORKERS, "nulls", "--models", "heston", "--paths", "4000",
+             "--days", "19170", "--out", "res", "--data-dir", "none"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("busy-*"))) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert proc.poll() is None, "nulls ended before both workers started"
+            assert time.monotonic() < deadline, "the workers did not start within 60 s"
+            os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C in a terminal sends
+            sent = time.monotonic()
+            proc.communicate(timeout=60)
+            elapsed = time.monotonic() - sent
+        finally:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)  # the command and its pool's workers
+                proc.communicate()
+        assert proc.returncode != 0
+        assert elapsed < 1.5, f"nulls ran on {elapsed:.2f} s after Ctrl-C"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process is left in the command's group
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("models", ["", ","])
     def test_no_model_names_flag(self, tmp_path, capsys, models):

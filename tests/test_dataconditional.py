@@ -69,7 +69,7 @@ class TestEpisodeTable:
     def test_deep_bucket_median(self, price_path):
         eps = detect_episodes(price_path, 0.05)
         rows = bucket_stats(eps, bootstrap_B=10_000, seed=1)
-        deep = next(r for r in rows if r.label == ">30%")
+        deep = next(r for r in rows if r.bucket == ">30%")
         assert deep.n == 6
         assert deep.median_tau == pytest.approx(3.1, abs=0.1)
         assert deep.ci_low == pytest.approx(1.5, abs=0.3)

@@ -120,11 +120,11 @@ class TestHeadlineRegression:
         var = cov[2, 2] + cov[3, 3] + 2 * cov[2, 3]
         s = fit.stress_slope
         assert s["estimate"] == pytest.approx(fit.b + fit.b_S, abs=1e-12)
-        assert s["se"] == pytest.approx(np.sqrt(var))
-        assert s["t"] == pytest.approx(s["estimate"] / s["se"])
+        assert s["hac_se"] == pytest.approx(np.sqrt(var))
+        assert s["t"] == pytest.approx(s["estimate"] / s["hac_se"])
         assert s["p"] == pytest.approx(math.erfc(abs(s["t"]) / math.sqrt(2.0)))
         assert fit.rows()[-1] == {"coef": "b_plus_bS", "estimate": s["estimate"],
-                                  "hac_se": s["se"], "t": s["t"], "p": s["p"]}
+                                  "hac_se": s["hac_se"], "t": s["t"], "p": s["p"]}
 
     def test_rescaling_detrended_level(self):
         rng = np.random.default_rng(21)

@@ -169,7 +169,7 @@ class TestBucketStats:
         eps = detect_episodes(make_price_path(closes), 0.05)
         assert len(eps) == 1
         rows = bucket_stats(eps, bootstrap_B=200, seed=1)
-        by_label = {r.label: r for r in rows}
+        by_label = {r.bucket: r for r in rows}
         assert by_label["20-30%"].n == 1
         assert by_label["20-30%"].median_tau == pytest.approx(eps[0].tau)
         assert by_label["20-30%"].ci_low == pytest.approx(eps[0].tau)
@@ -188,14 +188,14 @@ class TestBucketStats:
         for ra, rb in zip(a, b):
             assert ra.median_tau == rb.median_tau
             assert ra.n == rb.n
-        assert a[-1].label == "all"
+        assert a[-1].bucket == "all"
         assert a[-1].n == len(eps)
 
     def test_censored_excluded_from_tau(self):
         closes = [100, 105, 100, 80, 85]
         eps = detect_episodes(make_price_path(closes), 0.05, allow_censored=True)
         rows = bucket_stats(eps, bootstrap_B=100, seed=2)
-        by_label = {r.label: r for r in rows}
+        by_label = {r.bucket: r for r in rows}
         assert by_label["20-30%"].n == 1
         assert by_label["20-30%"].median_tau is None
 

@@ -85,7 +85,7 @@ class TestCoxFitInvariances:
         rng = np.random.default_rng(6)
         d, e, x = synth_dataset(rng, n=50)
         fit = cox_fit(d, e, x)
-        assert fit.hazard_ratio_per_0p10 == pytest.approx(math.exp(fit.gamma / 10.0))
+        assert fit.hr_per_10pp == pytest.approx(math.exp(fit.gamma / 10.0))
         assert fit.se > 0
         assert fit.z == pytest.approx(fit.gamma / fit.se)
         assert fit.iterations < 100
