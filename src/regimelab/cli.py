@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .episodes import (
 )
 from .intermediary import IntermediaryConfig, simulate, to_monthly_table
 from .nullmodels import (
-    DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, run_null_studies, usable_cpus,
+    DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, null_studies, run_null_studies, usable_cpus,
 )
 from .regime import classify
 from .survival import cox_fit
@@ -166,14 +167,12 @@ def cmd_episodes(cfg: RunConfig) -> Tables:
     n_cens = sum(1 for e in eps if e.censored)
     print(f"episodes: {len(eps)} at delta={cfg.delta} ({n_deep} deeper than 30%, {n_cens} censored)")
 
-    rets = log_returns(path)
-    vol = realized_vol(rets, window=21)
-    valid = ~np.isnan(vol)
-    cls = classify(vol[valid], q=cfg.q)
-    # vol[i] covers returns ending at date i+1
+    vol = realized_vol(log_returns(path), window=21)
+    idx = np.flatnonzero(~np.isnan(vol))  # vol[i] covers returns ending at date i+1
+    cls = classify(vol[idx], q=cfg.q)
     vol_rows = [
-        {"date": str(path.dates[i + 1]), "realized_vol": float(vol[i]), "stress": int(cls.flags[j])}
-        for j, i in enumerate(np.flatnonzero(valid))
+        {"date": d, "realized_vol": v, "stress": s}
+        for d, v, s in zip(path.dates[idx + 1].astype(str).tolist(), vol[idx].tolist(), cls.flags.tolist())
     ]
     return [("episodes", episodes_to_rows(path, eps)), ("buckets", bucket_rows_to_records(buckets)),
             ("delta_sensitivity", delta_sensitivity(path)), ("volseries", vol_rows)]
@@ -210,7 +209,8 @@ def cmd_r3(cfg: RunConfig) -> Tables:
     return [("r3_depth", rows), ("cox", [cox.row()])]
 
 
-def cmd_nulls(cfg: RunConfig) -> Tables:
+def _null_specs(cfg: RunConfig) -> list[NullSpec]:
+    """cfg.models' specs, checked; without its price CSV, block_bootstrap is left out if other models remain."""
     models = list(cfg.models)
     if not models:
         raise ValueError(f"--models names no model; choose from {','.join(MODELS)}")
@@ -227,16 +227,21 @@ def cmd_nulls(cfg: RunConfig) -> Tables:
                 f"block_bootstrap requires the price CSV ({price_file}). {PRICE_SCHEMA_HELP}"
             )
         else:
-            print(f"note: block_bootstrap skipped, price CSV not found ({price_file})")
             models = [m for m in models if m != "block_bootstrap"]
-
-    specs = [
+    return [
         NullSpec(model, BlockBootstrapParams(returns) if model == "block_bootstrap" else DEFAULT_PARAMS[model](),
                  n_days=cfg.n_days, n_paths=cfg.n_paths, seed=cfg.seed, delta=cfg.delta)
         for model in models
     ]
+
+
+def cmd_nulls(cfg: RunConfig, collect=None) -> Tables:
+    """`collect`, when given, waits for the studies of these specs that cmd_run_all started."""
+    specs = _null_specs(cfg)
+    if len(specs) < len(cfg.models):
+        print(f"note: block_bootstrap skipped, price CSV not found ({cfg.price_path()})")
     rows = []
-    for summary in run_null_studies(specs, cfg.comparator, usable_cpus()):
+    for summary in collect() if collect else run_null_studies(specs, cfg.comparator, usable_cpus()):
         rows.append(summary.row())
         print(
             f"{summary.model}: median tau {summary.median_tau:.3f} "
@@ -273,7 +278,7 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
     if not (cfg.synthetic or cfg.monthly_path().exists()):
         print("run-all: monthly panel missing, running headline on synthetic data")
         cfg = replace(cfg, synthetic=True)
-    failures = _run("headline", cfg)
+    failures = _run("headline", cmd_headline, cfg)
     steps = ["episodes", "r3", "nulls", "cot"]
     if not cfg.price_path().exists():
         print(
@@ -291,27 +296,35 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
                 print(f"{step}: skipped, the price file could not be read", file=sys.stderr)
             failures += len(skipped)
             steps = [step for step in steps if step not in skipped]
-    failures += sum(_run(step, cfg) for step in steps)
+    commands = {step: COMMANDS[step][0] for step in steps}
+    with ExitStack() as stack:
+        if "nulls" in steps:
+            import numpy.random  # noqa: F401  (once here, before the fork, not in each worker)
+            # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
+            with suppress(ValueError, OSError):
+                commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(
+                    null_studies(_null_specs(cfg), cfg.comparator, usable_cpus())))
+        failures += sum(_run(step, command, cfg) for step, command in commands.items())
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")
     print("run-all: complete")
     return []
 
 
-def _run(command: str, cfg: RunConfig, label: str | None = None) -> int:
+def _run(label: str, command, cfg: RunConfig) -> int:
     """Run one command, then write its tables: a command that raises writes none.
 
-    A ValueError or OSError is printed on stderr as `<label>: <reason>` (the
-    label defaults to the command's name) and returns 1; success returns 0.
+    A ValueError or OSError is printed on stderr as `<label>: <reason>` and
+    returns 1; success returns 0.
     """
     try:
-        for stem, rows in COMMANDS[command][0](cfg):
+        for stem, rows in command(cfg):
             cfg.out.mkdir(parents=True, exist_ok=True)
             path = cfg.out_file(stem)
             write_table(rows, path, cfg.format)
             print(f"wrote {path}")
     except (ValueError, OSError) as exc:
-        print(f"{label or command}: {exc}", file=sys.stderr)
+        print(f"{label}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -409,7 +422,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = config_from_args(build_parser().parse_args(argv))
-    return _run(cfg.command, cfg, "error")
+    return _run("error", COMMANDS[cfg.command][0], cfg)
 
 
 if __name__ == "__main__":

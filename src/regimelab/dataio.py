@@ -214,16 +214,14 @@ def build_panel(
 # Result tables
 # ---------------------------------------------------------------------------
 
+_CELL_FORMATS = {str: str, int: str, float: "{:.10g}".format, bool: lambda v: "1" if v else "0",
+                 type(None): lambda v: ""}
+
+
 def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.10g}"
-    return str(v)
+    if isinstance(v, np.generic):  # a numpy scalar is written as the Python value it holds
+        v = v.item()
+    return _CELL_FORMATS.get(type(v), str)(v)
 
 
 def _json_cell(v):
@@ -256,7 +254,7 @@ def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(columns)
             for r in rows:
-                w.writerow([_format_cell(r[c]) for c in columns])
+                w.writerow([_format_cell(v) for v in r.values()])
     else:
         payload = [{c: _json_cell(r[c]) for c in columns} for r in rows]
         with open(path, "w") as fh:

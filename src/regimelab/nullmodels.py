@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -331,16 +332,17 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_null_studies(
-    specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1
-) -> list[NullStudySummary]:
-    """run_null_study's summary of each spec, in order.
+@contextmanager
+def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1):
+    """Start the studies; yield a function that waits for them and returns
+    run_null_study's summary of each spec, in order.
 
     Each study's paths are cut into SLICES_PER_WORKER contiguous slices per
-    process (some empty); with several processes, all studies' slices go to
-    one fork pool at once, so none idles between studies. Path i depends on
-    (seed, i) only, so the summaries do not depend on `workers`. A worker
-    that dies raises ChildProcessError.
+    process (some empty). With several processes, all slices go to one fork
+    pool on entry, so the caller works while they run; with one, they run
+    in-process when the function is called. Path i depends on (seed, i) only,
+    so the summaries do not depend on `workers`. A worker that dies raises
+    ChildProcessError; an exception that leaves the block ends the workers.
     """
     if not 0 < comparator_tau < math.inf:
         raise ValueError(f"comparator must be positive and finite, got {comparator_tau}")
@@ -349,32 +351,52 @@ def run_null_studies(
     # no fork (Windows): run in-process
     processes = min(workers, max((s.n_paths for s in specs), default=1)) if hasattr(os, "fork") else 1
     k = SLICES_PER_WORKER * processes
+
+    def summaries(parts: list) -> list[NullStudySummary]:
+        return [_summarise(spec, parts[i * k:(i + 1) * k], comparator_tau) for i, spec in enumerate(specs)]
+
     tasks = [(s, s.n_paths * j // k, s.n_paths * (j + 1) // k) for s in specs for j in range(k)]
     if processes == 1:
-        parts = list(itertools.starmap(_run_slice, tasks))
-    else:
-        # imported here, not at the top, as importing them takes about 15 ms (2-CPU x86 host)
-        import multiprocessing
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        yield lambda: summaries(list(itertools.starmap(_run_slice, tasks)))
+        return
+    # imported here, not at the top, as importing them takes about 15 ms (2-CPU x86 host)
+    import multiprocessing
+    import signal
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
+    import numpy.ma  # noqa: F401
 
-        # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
-        import numpy.ma  # noqa: F401
+    # fork, not spawn: workers start with numpy and the specs already loaded;
+    # workers take one slice at a time, so they finish together; unlike
+    # multiprocessing.Pool, which waits forever, the executor fails when a worker dies;
+    # workers take SIGINT's default action, so Ctrl-C ends them mid-slice
+    pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
 
-        # fork, not spawn: workers start with numpy and the specs already loaded;
-        # map hands out one slice at a time, so the workers finish together; unlike
-        # multiprocessing.Pool, which waits forever, the executor fails when a worker dies;
-        # workers take SIGINT's default action, so Ctrl-C ends them mid-slice
-        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
+    def alive(work):  # work(); a worker's death, seen when submitting or waiting, is a ChildProcessError
         try:
-            parts = list(pool.map(_run_slice, *zip(*tasks)))
+            return work()
         except BrokenProcessPool:
             raise ChildProcessError("a null-study worker process died before finishing its slice") from None
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return [_summarise(spec, parts[i * k:(i + 1) * k], comparator_tau) for i, spec in enumerate(specs)]
+
+    try:
+        futures = alive(lambda: [pool.submit(_run_slice, *task) for task in tasks])
+        yield lambda: alive(lambda: summaries([f.result() for f in futures]))
+    except BaseException:
+        # a signal to this process alone never reaches the workers; shutdown would wait for their slices
+        for child in multiprocessing.active_children():
+            child.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_null_studies(
+    specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1
+) -> list[NullStudySummary]:
+    """run_null_study's summary of each spec, in order (see null_studies)."""
+    with null_studies(specs, comparator_tau, workers) as collect:
+        return collect()
 
 
 def run_null_study(spec: NullSpec, comparator_tau: float = 1.35, workers: int = 1) -> NullStudySummary:

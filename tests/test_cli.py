@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -330,15 +331,15 @@ cli.usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
 
-    @pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
-                        reason="the worker pool needs fork and two usable CPUs")
-    def test_ctrl_c_ends_the_workers(self, tmp_path):
+    def interrupt(self, tmp_path, command, kill):
+        """Start `command` on 2 workers in a new session, wait until both workers have
+        started a slice, then call kill(pid); the seconds until the command ended."""
         # 500-path Heston slices of 19,170 days run for several seconds; a worker
-        # that survives Ctrl-C finishes its slice before the command can end
+        # that survives the signal finishes its slice before the command can end
         src = str(Path(regimelab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.Popen(
-            [sys.executable, "-c", self.BUSY_WORKERS, "nulls", "--models", "heston", "--paths", "4000",
+            [sys.executable, "-c", self.BUSY_WORKERS, command, "--models", "heston", "--paths", "4000",
              "--days", "19170", "--out", "res", "--data-dir", "none"],
             cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
@@ -347,9 +348,9 @@ sys.exit(cli.main(sys.argv[1:]))
             deadline = time.monotonic() + 60
             while len(list(tmp_path.glob("busy-*"))) < 2 and proc.poll() is None and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert proc.poll() is None, "nulls ended before both workers started"
+            assert proc.poll() is None, f"{command} ended before both workers started"
             assert time.monotonic() < deadline, "the workers did not start within 60 s"
-            os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C in a terminal sends
+            kill(proc.pid)
             sent = time.monotonic()
             proc.communicate(timeout=60)
             elapsed = time.monotonic() - sent
@@ -358,10 +359,26 @@ sys.exit(cli.main(sys.argv[1:]))
                 os.killpg(proc.pid, signal.SIGKILL)  # the command and its pool's workers
                 proc.communicate()
         assert proc.returncode != 0
-        assert elapsed < 1.5, f"nulls ran on {elapsed:.2f} s after Ctrl-C"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no process is left in the command's group
+        return elapsed
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
+                        reason="the worker pool needs fork and two usable CPUs")
+    def test_ctrl_c_ends_the_workers(self, tmp_path):
+        # what Ctrl-C in a terminal sends: SIGINT to the whole process group
+        elapsed = self.interrupt(tmp_path, "nulls", lambda pid: os.killpg(pid, signal.SIGINT))
+        assert elapsed < 1.5, f"nulls ran on {elapsed:.2f} s after Ctrl-C"
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
+                        reason="the worker pool needs fork and two usable CPUs")
+    @pytest.mark.parametrize("command", ["nulls", "run-all"])
+    def test_sigint_to_the_command_alone_ends_the_workers(self, tmp_path, command):
+        # kill -INT <pid>: the workers never see the signal, so the command must end them
+        elapsed = self.interrupt(tmp_path, command, lambda pid: os.kill(pid, signal.SIGINT))
+        assert elapsed < 1.5, f"{command} ran on {elapsed:.2f} s after SIGINT"
+        assert not (tmp_path / "res/nulls.csv").exists()
 
     @pytest.mark.parametrize("models", ["", ","])
     def test_no_model_names_flag(self, tmp_path, capsys, models):
@@ -372,28 +389,81 @@ sys.exit(cli.main(sys.argv[1:]))
         assert "--models" in err and "gbm,asym_vol,heston,markov_rs,block_bootstrap" in err
         assert not out.exists()
 
+    @staticmethod
+    def pooled_and_pinned(tmp_path, argv, env):
+        """(output, {table: bytes}) of `regimelab <argv>` on every usable CPU, then pinned
+        to one, where it runs in-process; stdout and stderr share one file."""
+        one_cpu = {min(os.sched_getaffinity(0))}
+        got = []
+        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+            out, log = tmp_path / "res", tmp_path / "output.txt"
+            shutil.rmtree(out, ignore_errors=True)
+            with open(log, "wb") as f:
+                subprocess.run([sys.executable, "-m", "regimelab.cli", *argv, "--out", "res"], cwd=tmp_path,
+                               env=env, stdout=f, stderr=subprocess.STDOUT, timeout=120, preexec_fn=pin)
+            tables = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            got.append((log.read_bytes(), tables))
+        return got
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
                         reason="needs two usable CPUs and a settable CPU affinity")
     def test_pool_and_serial_same_bytes(self, tmp_path):
-        # nulls runs on every CPU it may use: pinned to one CPU it runs in-process.
         # stdout goes to a file, so it is block-buffered: a forked worker that
         # inherits an unflushed buffer (the block_bootstrap note) would print it again
         src = str(Path(regimelab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        one_cpu = {min(os.sched_getaffinity(0))}
-        got = []
-        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
-            log = tmp_path / "stdout.txt"
-            with open(log, "wb") as f:
-                subprocess.run(
-                    [sys.executable, "-m", "regimelab.cli", "nulls", "--paths", "12", "--days", "700",
-                     "--out", "res", "--data-dir", "none"],
-                    cwd=tmp_path, env=env, stdout=f, stderr=subprocess.STDOUT, timeout=120, check=True,
-                    preexec_fn=pin,
-                )
-            got.append((log.read_bytes(), (tmp_path / "res/nulls.csv").read_bytes()))
-        assert got[0] == got[1]
-        assert got[0][0].count(b"note: block_bootstrap skipped") == 1
+        env.pop("PYTHONUNBUFFERED", None)
+        pooled, pinned = self.pooled_and_pinned(
+            tmp_path, ["nulls", "--paths", "12", "--days", "700", "--data-dir", "none"], env)
+        assert pooled == pinned
+        assert pooled[0].count(b"note: block_bootstrap skipped") == 1
+        assert list(pooled[1]) == ["nulls.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
+                        reason="needs two usable CPUs and a settable CPU affinity")
+    @pytest.mark.parametrize("flags,damage,failure", [
+        ((), None, None),
+        ((), "unsorted", None),
+        (("--models", "gbm,garch"), None,
+         "nulls: --models: unknown models ['garch']; choose from " + ",".join(MODELS)),
+        (("--comparator", "0"), None, "nulls: comparator must be positive and finite, got 0.0"),
+        ((), "unreadable", "run-all: prices.csv: not UTF-8 text"),
+    ], ids=["complete", "unsorted-prices", "unknown-model", "comparator-0", "unreadable-prices"])
+    def test_run_all_pool_and_serial_same_bytes(self, tmp_path, gbm_csv, flags, damage, failure):
+        # with workers, run-all starts the null studies once it has parsed the price
+        # file, and when pinned it runs them at the nulls step; unbuffered, the shared
+        # file shows the order of the writes, and a failure is reported where its step runs
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "PYTHONUNBUFFERED": "1"}
+        lines = gbm_csv.read_bytes().splitlines(keepends=True)
+        if damage == "unsorted":
+            lines[200], lines[201] = lines[201], lines[200]
+        elif damage == "unreadable":
+            lines[200] = lines[200].replace(b",", b",\xff", 1)
+        # relative to the command's working directory, so the messages name it alike
+        (tmp_path / "prices.csv").write_bytes(b"".join(lines))
+        argv = ["run-all", "--prices", "prices.csv", "--data-dir", "none", "--models", "gbm,block_bootstrap",
+                "--paths", "12", "--days", "700", "--periods", "240", "--agents", "20",
+                "--bootstrap-b", "50", *flags]
+        pooled, pinned = self.pooled_and_pinned(tmp_path, argv, env)
+        assert pooled == pinned
+        lines = pooled[0].decode().splitlines()
+        if failure is None:
+            assert lines[-1] == "run-all: complete"
+            assert sorted(pooled[1]) == sorted(f"{stem}.csv" for stem in (
+                "headline", "sweeps", "panel", "episodes", "buckets", "delta_sensitivity", "volseries",
+                "r3_depth", "cox", "nulls"))
+            if damage == "unsorted":  # the parse warns after headline's output, before episodes'
+                warned = next(i for i, line in enumerate(lines) if "1 out-of-order rows were sorted" in line)
+                assert lines.index("wrote res/panel.csv") < warned < lines.index("wrote res/episodes.csv")
+            return
+        first = lines.index(failure)
+        # headline's output comes first, then r3's (none from an unreadable price file)
+        assert all(f"wrote res/{stem}.csv" in lines[:first] for stem in ("headline", "sweeps", "panel"))
+        assert ("wrote res/cox.csv" in lines[:first]) == failure.startswith("nulls: ")
+        assert lines[-1].startswith("error: ")
+        assert "nulls.csv" not in pooled[1]
 
 
 class TestCotCmd:
