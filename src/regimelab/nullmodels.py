@@ -197,11 +197,12 @@ def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
     out_v = memoryview(v_used)
     sqrt = math.sqrt
     milstein = (0.25 * xi * xi) * (dt * z2 * z2 - dt)
+    # v starts at v0 >= 0 and is clipped to +0.0, and no sum of these terms
+    # gives -0.0, so v is its own floor
     v = v0
     for t, (b, m) in enumerate(zip(memoryview(z2), memoryview(milstein))):
-        vplus = v if v > 0.0 else 0.0
-        out_v[t] = vplus
-        v = v + kappa * (vbar - vplus) * dt + xi * sqrt(vplus * dt) * b + m
+        out_v[t] = v
+        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * b + m
         if v < 0.0:
             v = 0.0
     steps = (mu - 0.5 * v_used) * dt + np.sqrt(v_used) * sqrt(dt) * z1
@@ -261,7 +262,8 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
             p.mu_bear, p.sigma_bear, p.stay_bear, state0,
         )
     else:  # block_bootstrap
-        idx = stationary_block_indices(n_steps, p.mean_block, rng)
+        # blocks start anywhere in the whole return series and wrap around it, whatever n_days
+        idx = stationary_block_indices(p.returns.size, p.mean_block, rng, length=n_steps)
         steps = p.returns[idx]
 
     closes = np.empty(spec.n_days)

@@ -204,3 +204,13 @@ def stationary_block_indices_reference(n: int, mean_block: float, rng: np.random
     block_first = np.flatnonzero(restart)
     offset = np.arange(n) - block_first[block_id]
     return (starts[block_id] + offset) % n
+
+
+def percentile_ci_median_reference(values, B: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap 95% CI for the median from one (B, n) resample matrix."""
+    values = np.asarray(values, dtype=float)
+    idx = rng.integers(0, values.size, size=(B, values.size))
+    medians = np.median(values[idx], axis=1)
+    alpha = 100.0 * (1.0 - 0.95) / 2.0
+    lo, hi = np.percentile(medians, [alpha, 100.0 - alpha])
+    return float(lo), float(hi)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import asym_vol_steps_reference, heston_steps_reference, markov_steps_reference
+from oracles import (
+    asym_vol_steps_reference,
+    heston_steps_reference,
+    markov_steps_reference,
+    stationary_block_indices_reference,
+)
 from regimelab.episodes import detect_episodes
 from regimelab.nullmodels import (
     DEFAULT_PARAMS,
@@ -27,6 +32,7 @@ from regimelab.nullmodels import (
     _run_slice,
     run_null_studies,
     run_null_study,
+    simulate_closes,
     simulate_path,
     usable_cpus,
 )
@@ -185,6 +191,40 @@ class TestBlockBootstrap:
         # every simulated step is one of the empirical returns (up to the exp/log round trip)
         nearest = np.min(np.abs(steps[:, None] - emp[None, :]), axis=1)
         assert nearest.max() < 1e-12
+
+    @staticmethod
+    def _steps(n_returns, n_days, seed=3):
+        emp = np.random.default_rng(n_returns).normal(0, 0.01, n_returns)
+        spec = NullSpec("block_bootstrap", BlockBootstrapParams(returns=emp), n_days=n_days,
+                        n_paths=1, seed=seed)
+        return emp, np.diff(np.log(simulate_closes(spec, 0)))
+
+    @staticmethod
+    def _source_index(emp, steps):
+        # the empirical return each step was taken from (the returns are distinct)
+        return np.argmin(np.abs(steps[:, None] - emp[None, :]), axis=1)
+
+    def test_days_beyond_the_returns(self):
+        # 398 returns, 699 steps: blocks wrap around the series, more than once when long
+        emp, steps = self._steps(398, 700)
+        assert steps.size == 699
+        src = self._source_index(emp, steps)
+        assert np.abs(steps - emp[src]).max() < 1e-12
+        assert np.unique(src).size > 300
+
+    def test_fewer_days_than_returns_draws_from_all(self):
+        # 2,519 returns, 399 steps: blocks start anywhere in the series, not only in its first 399
+        reached = max(self._source_index(*self._steps(2_519, 400, seed)).max() for seed in range(5))
+        assert reached > 398
+
+    def test_days_equal_to_returns_keep_the_circular_draw(self):
+        # the block indices of the length-n stationary bootstrap, as before the length was free
+        emp = np.random.default_rng(9).normal(0, 0.01, 699)
+        spec = NullSpec("block_bootstrap", BlockBootstrapParams(returns=emp), n_days=700, n_paths=3, seed=8)
+        for i in range(3):
+            want = emp[stationary_block_indices_reference(699, 63, derive_rng(8, i))]
+            closes = simulate_closes(spec, i)
+            assert np.array_equal(closes[1:], 100.0 * np.exp(np.cumsum(want)))
 
     def test_requires_returns(self):
         with pytest.raises(ValueError, match="return series"):
@@ -347,8 +387,8 @@ class TestKernelsAgainstReference:
 
     @pytest.mark.parametrize("seed,n", KERNEL_CASES)
     @pytest.mark.parametrize("v0,eps_v", [(None, None), (0.0, None), (None, 1.0)])
-    def test_heston(self, seed, n, v0, eps_v):
-        p = HestonParams()
+    def test_heston(self, seed, n, v0, eps_v, xi=None):
+        p = HestonParams() if xi is None else HestonParams(xi=xi)
         v0 = p.vbar if v0 is None else v0
         eps_v = p.eps_v if eps_v is None else eps_v
         z1, w, _ = _draws(seed, n)
@@ -361,6 +401,14 @@ class TestKernelsAgainstReference:
         assert n_degenerate == ref_n_degenerate
         if eps_v == 1.0:
             assert n_degenerate == n
+        if xi is not None:
+            # the variance step went below zero and was clipped, on at least 1% of the steps
+            assert np.count_nonzero(v_used == 0.0) > n // 100
+
+    @pytest.mark.parametrize("seed,n", KERNEL_CASES)
+    def test_heston_clipped(self, seed, n):
+        # at xi = 2 (Feller ratio 0.06) the variance often lands below zero, which the default never does
+        self.test_heston(seed, n, None, None, xi=2.0)
 
     @pytest.mark.parametrize("seed,n", KERNEL_CASES)
     @pytest.mark.parametrize("state0", [0, 1])

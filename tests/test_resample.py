@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import stationary_block_indices_reference
+from oracles import percentile_ci_median_reference, stationary_block_indices_reference
 from regimelab.resample import (
+    RESAMPLE_BLOCK,
     derive_rng,
     percentile_ci_median,
     stationary_block_indices,
@@ -75,6 +78,19 @@ class TestStationaryBlockIndices:
             assert np.array_equal(idx, stationary_block_indices_reference(n, mean_block, ref_rng))
             assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("n,length", [(1, 5), (3, 40), (70, 69), (70, 700), (398, 699), (19_169, 2_519)])
+    def test_other_length(self, n, length):
+        # every position is on the ring, and within a block consecutive positions step by 1 mod n
+        for seed in range(5):
+            idx = stationary_block_indices(n, 20, np.random.default_rng(seed), length=length)
+            assert idx.size == length
+            assert idx.min() >= 0 and idx.max() < n
+            rng = np.random.default_rng(seed)
+            restart = np.concatenate(([True], rng.random(length - 1) < 1.0 / 20))
+            starts = rng.integers(0, n, size=int(restart.sum()))
+            assert np.array_equal(idx[restart], starts)
+            assert np.array_equal(idx[1:][~restart[1:]], (idx[:-1][~restart[1:]] + 1) % n)
+
 
 class TestPercentileCiMedian:
     def test_constant_values(self):
@@ -116,6 +132,39 @@ class TestPercentileCiMedian:
     def test_rejects_B_below_one(self, B):
         with pytest.raises(ValueError, match="B must be >= 1"):
             percentile_ci_median(np.array([1.0, 2.0]), B=B, rng=np.random.default_rng(0))
+
+    @staticmethod
+    def _assert_matches_reference(n, B):
+        # the blocked draws equal one (B, n) draw, and leave the generator where that leaves it
+        values = np.random.default_rng(n).exponential(1.0, n)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert percentile_ci_median(values, B, rng) == percentile_ci_median_reference(values, B, ref_rng)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 70])
+    @pytest.mark.parametrize("B", [1, 10_000])
+    def test_matches_one_shot_reference(self, n, B):
+        self._assert_matches_reference(n, B)
+
+    @pytest.mark.parametrize("n", [1, 2, 70, RESAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1, 2])
+    def test_matches_one_shot_reference_at_block_edges(self, n, extra_rows):
+        # B one row short of a block, one block, one row over; above RESAMPLE_BLOCK a block is one row
+        rows = max(1, RESAMPLE_BLOCK // n)
+        self._assert_matches_reference(n, max(1, rows + extra_rows))
+
+    def test_memory_does_not_grow_with_B(self):
+        # one (B, n) resample matrix would take three 112 MB temporaries here
+        B = 200_000
+        values = np.random.default_rng(2).exponential(1.0, 70)
+        tracemalloc.start()
+        try:
+            percentile_ci_median(values, B, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * B + 4_000_000
 
 
 class TestDeriveRng:
