@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataio import PricePath
-from .resample import percentile_ci_median, stationary_block_indices
+from .resample import percentile_ci_median
 
 BUCKET_EDGES = ((0.05, 0.10), (0.10, 0.20), (0.20, 0.30), (0.30, float("inf")))
 BUCKET_LABELS = ("5-10%", "10-20%", "20-30%", ">30%")
@@ -145,22 +145,11 @@ def _median_or_none(values: list[float]) -> float | None:
     return float(np.median(values)) if values else None
 
 
-def _median_ci(taus: np.ndarray, B: int, rng, mean_block: int) -> tuple[float, float]:
-    if mean_block == 1:
-        return percentile_ci_median(taus, B=B, rng=rng)
-    medians = np.empty(B)
-    for b in range(B):
-        idx = stationary_block_indices(taus.size, min(mean_block, taus.size), rng)
-        medians[b] = np.median(taus[idx])
-    lo, hi = np.percentile(medians, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
-def _bucket_row(label: str, members: list[Episode], B: int, rng, mean_block: int) -> BucketRow:
+def _bucket_row(label: str, members: list[Episode], B: int, rng) -> BucketRow:
     taus = [e.tau for e in members if not e.censored]
     ci_low = ci_high = None
     if taus:
-        ci_low, ci_high = _median_ci(np.array(taus), B, rng, mean_block)
+        ci_low, ci_high = percentile_ci_median(np.array(taus), B=B, rng=rng)
     return BucketRow(
         bucket=label,
         n=len(members),
@@ -172,24 +161,15 @@ def _bucket_row(label: str, members: list[Episode], B: int, rng, mean_block: int
     )
 
 
-def bucket_stats(
-    episodes: list[Episode],
-    bootstrap_B: int = 10_000,
-    seed: int = 1,
-    mean_block: int = 1,
-) -> list[BucketRow]:
+def bucket_stats(episodes: list[Episode], bootstrap_B: int = 10_000, seed: int = 1) -> list[BucketRow]:
     """Per-magnitude-bucket medians with percentile bootstrap CIs, plus an All row.
 
     Censored episodes never enter the duration-ratio statistics; empty
-    buckets yield n=0 rows with absent statistics. CIs draw bootstrap_B
-    resamples: iid episode-level resampling when mean_block is 1, otherwise
-    stationary-block resampling of contiguous runs of chronologically ordered
-    episodes with that mean block length.
+    buckets yield n=0 rows with absent statistics. CIs draw bootstrap_B iid
+    episode-level resamples.
     """
     if bootstrap_B < 1:
         raise ValueError("bootstrap_B must be >= 1")
-    if mean_block < 1:
-        raise ValueError("mean_block must be >= 1")
     if not episodes:
         raise ValueError("episodes must be non-empty")
     rng = np.random.default_rng(seed)
@@ -199,11 +179,8 @@ def bucket_stats(
         i = _bucket_of(e.depth)
         if i is not None:
             buckets[i].append(e)
-    rows = [
-        _bucket_row(label, members, bootstrap_B, rng, mean_block)
-        for label, members in zip(BUCKET_LABELS, buckets)
-    ]
-    rows.append(_bucket_row("all", ordered, bootstrap_B, rng, mean_block))
+    rows = [_bucket_row(label, members, bootstrap_B, rng) for label, members in zip(BUCKET_LABELS, buckets)]
+    rows.append(_bucket_row("all", ordered, bootstrap_B, rng))
     return rows
 
 

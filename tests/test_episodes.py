@@ -203,23 +203,7 @@ class TestBucketStats:
         with pytest.raises(ValueError, match="non-empty"):
             bucket_stats([])
 
-    def test_block_mode_via_mean_block(self):
-        rng = np.random.default_rng(44)
-        closes = random_walk_closes(rng, 900)
-        eps = detect_episodes(make_price_path(closes), 0.03)
-        if sum(1 for e in eps if not e.censored) < 8:
-            pytest.skip("walk produced too few episodes")
-        rows = bucket_stats(eps, bootstrap_B=400, seed=5, mean_block=3)
-        all_row = rows[-1]
-        assert all_row.ci_low is not None and all_row.ci_low <= all_row.median_tau <= all_row.ci_high
-        # the stationary-block CIs of the former BootstrapSpec(mode="stationary_block",
-        # mean_block=3, B=400, seed=5) call
-        assert (rows[0].ci_low, rows[0].ci_high) == (0.75, 1.125)
-        assert (all_row.ci_low, all_row.ci_high) == (0.8333333333333334, 1.6666666666666667)
-        rows2 = bucket_stats(eps, bootstrap_B=400, seed=5, mean_block=3)
-        assert rows2[-1].ci_low == all_row.ci_low and rows2[-1].ci_high == all_row.ci_high
-
-    @pytest.mark.parametrize("name,value", [("bootstrap_B", 0), ("bootstrap_B", -5), ("mean_block", 0)])
+    @pytest.mark.parametrize("name,value", [("bootstrap_B", 0), ("bootstrap_B", -5)])
     def test_rejects_bootstrap_below_one(self, name, value):
         eps = detect_episodes(make_price_path([100, 90, 101, 80, 102]), 0.05)
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):

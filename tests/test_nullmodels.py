@@ -1,12 +1,17 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import regimelab
 
 from oracles import (
     asym_vol_steps_reference,
@@ -435,3 +440,99 @@ class TestKernelsAgainstReference:
         ref_steps, ref_n_bull = markov_steps_reference(*args)
         assert np.array_equal(steps, ref_steps)
         assert n_bull == ref_n_bull
+
+
+class TestKernelBuild:
+    """The asym_vol and heston kernels build once per cache, in the parent, and
+    only where those models run; without a compiler those models fail loudly."""
+
+    # the CLI on a given number of null-study workers, whatever the CPUs this test may use
+    ON_WORKERS = """\
+import sys
+from regimelab import cli
+workers = int(sys.argv.pop(1))
+cli.usable_cpus = lambda: workers
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @staticmethod
+    def run_cli(tmp_path, *argv, workers=1, **env):
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path / "cache"), **env}
+        return subprocess.run([sys.executable, "-c", TestKernelBuild.ON_WORKERS, str(workers), *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    @staticmethod
+    def nulls(models, out="res"):
+        return ["nulls", "--models", models, "--paths", "6", "--days", "700", "--data-dir", "none", "--out", out]
+
+    @pytest.fixture
+    def no_cc(self, tmp_path):
+        """A PATH with no C compiler on it."""
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        return str(empty)
+
+    @pytest.mark.parametrize("model", ["asym_vol", "heston"])
+    def test_no_compiler_fails_in_one_line(self, tmp_path, no_cc, model):
+        done = self.run_cli(tmp_path, *self.nulls(model), PATH=no_cc)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: the asym_vol and heston models need a C compiler, and `cc --version` failed: "
+            "[Errno 2] No such file or directory: 'cc'"
+        ]
+        assert not (tmp_path / "res").exists()
+
+    def test_failed_compile_fails_in_one_line_and_leaves_nothing(self, tmp_path):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo "fake cc 1.0"; exit 0; }\n'
+                      'echo "cc1: fatal error: out of memory" >&2; echo "compilation terminated." >&2; exit 1\n')
+        cc.chmod(0o755)
+        done = self.run_cli(tmp_path, *self.nulls("heston"), PATH=str(bin_dir))
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: `cc` could not compile the asym_vol and heston kernels: cc1: fatal error: out of memory"
+        ]
+        assert not (tmp_path / "res").exists()
+        assert list((tmp_path / "cache/regimelab").iterdir()) == []  # its temp file is gone
+
+    def test_other_models_and_version_need_no_compiler(self, tmp_path, no_cc):
+        spec = NullSpec("gbm", GbmParams(), n_days=2_000, n_paths=1, seed=12)
+        closes = simulate_path(spec, 0).closes
+        dates = np.datetime64("1990-01-02", "D") + np.arange(closes.size)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data/sp500_daily.csv").write_text(
+            "date,close\n" + "".join(f"{d},{float(c)!r}\n" for d, c in zip(dates, closes)))
+        runs = [
+            ["--version"],
+            self.nulls("gbm,markov_rs"),
+            ["run-all", "--models", "block_bootstrap", "--paths", "4", "--days", "700", "--data-dir", "data",
+             "--out", "res-all", "--periods", "240", "--agents", "20", "--bootstrap-b", "50"],
+        ]
+        for argv in runs:
+            done = self.run_cli(tmp_path, *argv, workers=2, PATH=no_cc)
+            assert done.returncode == 0, done.stderr
+        assert (tmp_path / "res/nulls.csv").exists() and (tmp_path / "res-all/nulls.csv").exists()
+        assert not (tmp_path / "cache").exists()  # nothing was built or looked up
+
+    def test_built_once_in_the_parent(self, tmp_path):
+        cache = tmp_path / "cache/regimelab"
+        done = self.run_cli(tmp_path, *self.nulls("asym_vol,heston", "res2"), workers=2)
+        assert done.returncode == 0, done.stderr
+        (lib,) = cache.iterdir()  # one library, and no temp file left by the workers or the build
+        assert lib.name.startswith("kernels-") and lib.suffix == ".so"
+        built = lib.stat().st_mtime_ns
+        done = self.run_cli(tmp_path, *self.nulls("asym_vol,heston", "res1"), workers=1)
+        assert done.returncode == 0, done.stderr
+        assert list(cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built  # loaded, not rebuilt
+        assert (tmp_path / "res1/nulls.csv").read_bytes() == (tmp_path / "res2/nulls.csv").read_bytes()
+
+    def test_unwritable_cache_builds_privately(self, tmp_path):
+        (tmp_path / "cache").write_text("a file, so no directory can be made under it")
+        (tmp_path / "tmp").mkdir()
+        done = self.run_cli(tmp_path, *self.nulls("asym_vol"), TMPDIR=str(tmp_path / "tmp"))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "res/nulls.csv").exists()
+        assert list((tmp_path / "tmp").iterdir()) == []  # the private build is removed once loaded
