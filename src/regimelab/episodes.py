@@ -4,7 +4,8 @@ An episode runs from an all-time-high peak through the trough to the first
 index that regains the peak price. Peaks at price ties take the LAST index
 attaining the running maximum (flat tops do not count toward the drawdown
 duration); troughs take the FIRST index attaining the interval minimum;
-recovery uses a weak >= comparison.
+recovery uses a weak >= comparison. These rules live in the C scan in
+kernels.py, which episode_arrays calls.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import kernels
 from .dataio import PricePath
 from .resample import percentile_ci_median
 
@@ -54,28 +56,15 @@ def episode_arrays(closes: np.ndarray, delta: float):
     """Completed episodes with depth >= delta, as arrays.
 
     Returns (peaks, troughs, recs, depth): the peak, trough and recovery
-    indices and the depths of the completed episodes, in order.
+    indices (int64) and the depths (float64) of the completed episodes, in
+    order. closes must hold no NaN. The scan is kernels.py's C loop.
     """
-    runmax = np.maximum.accumulate(closes)
-    highs = np.flatnonzero(closes == runmax)  # exact: runmax propagates the same float
-    peaks, recs = highs[:-1], highs[1:]
-    keep = recs - peaks > 1  # at least one strictly-below index between highs
-    peaks, recs = peaks[keep], recs[keep]
-    bounds = np.empty(2 * peaks.size, dtype=np.int64)
-    bounds[0::2] = peaks + 1
-    bounds[1::2] = recs
-    interior_min = np.minimum.reduceat(closes, bounds)[0::2]
-    depth = 1.0 - interior_min / closes[peaks]
-    deep = depth >= delta
-    peaks, recs, depth, interior_min = peaks[deep], recs[deep], depth[deep], interior_min[deep]
-    # lay the interiors [p+1, r) end to end; each interval's first index at
-    # its minimum is the first hit at or after the interval's offset
-    lens = recs - peaks - 1
-    offs = np.cumsum(lens) - lens
-    pos = np.arange(int(lens.sum())) + np.repeat(peaks + 1 - offs, lens)
-    hits = np.flatnonzero(closes[pos] == np.repeat(interior_min, lens))
-    troughs = pos[hits[np.searchsorted(hits, offs)]]
-    return peaks, troughs, recs, depth
+    closes = np.ascontiguousarray(closes, dtype=np.float64)
+    half = closes.size // 2  # the most episodes a series can hold
+    peaks, troughs, recs = (np.empty(half, dtype=np.int64) for _ in range(3))
+    depth = np.empty(half)
+    k = kernels.load().episode_scan(closes, closes.size, delta, peaks, troughs, recs, depth)
+    return peaks[:k], troughs[:k], recs[:k], depth[:k]
 
 
 def detect_episodes(path: PricePath, delta: float = 0.05, allow_censored: bool = False) -> list[Episode]:

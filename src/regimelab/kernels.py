@@ -1,0 +1,167 @@
+"""regimelab's C kernels, built on first use and called through ctypes.
+
+The asym_vol and Heston variance recurrences are sequential, so they run as
+C loops: the same IEEE operations in the same order as the scalar Python
+loops in tests/oracles.py, so every value is the same bit for bit
+(-ffp-contract=off keeps the compiler from fusing a multiply and an add into
+one FMA). The drawdown-recovery episode scan and each null path's median
+duration ratio run in C for speed: they compare floats and do the same
+divisions, sum and halving as the numpy scan in tests/oracles.py and
+np.median, so they equal them exactly. The scan's tie rules live in `scan`
+below.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import suppress
+from functools import lru_cache
+
+import numpy as np
+
+KERNEL_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+void asym_vol_steps(const double *z, double *r, long n, double dt, double mu,
+                    double sigma_base, double gamma, double lo, double hi) {
+    double sqdt = sqrt(dt), sigma = sigma_base;
+    for (long t = 0; t < n; t++) {
+        double step = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * z[t];
+        r[t] = step;
+        /* volatility for the next step, from this step's log return */
+        sigma = sigma_base * exp(gamma * step);
+        if (sigma < lo) sigma = lo;
+        else if (sigma > hi) sigma = hi;
+    }
+}
+
+/* v starts at v0 >= 0 and is clipped to +0.0, and no sum of these terms
+   gives -0.0, so v is its own floor */
+void heston_variance(const double *z2, const double *milstein, double *v_used, long n,
+                     double dt, double vbar, double kappa, double xi, double v0) {
+    double v = v0;
+    for (long t = 0; t < n; t++) {
+        v_used[t] = v;
+        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2[t] + milstein[t];
+        if (v < 0.0) v = 0.0;
+    }
+}
+
+/* The completed drawdown-recovery episodes of c[0..n), which holds no NaN.
+   A high is an index at the running maximum, compared with >=, so a tie
+   moves the peak to the later index. Two highs with an index between them
+   bound an episode; its trough is the first index at the interior minimum
+   (updated on <), and it counts when 1 - trough/peak >= delta. The last
+   segment, which no high closes, is dropped. Each counted episode writes
+   its fields to the arrays that are not NULL; returns the count. Episodes
+   do not overlap and each spans at least two steps, so the count is at
+   most n / 2. */
+static long scan(const double *c, long n, double delta, int64_t *peaks, int64_t *troughs,
+                 int64_t *recs, double *depth, double *tau) {
+    long k = 0, p = 0, t = 0;
+    for (long i = 1; i < n; i++) {
+        if (c[i] >= c[p]) {
+            if (i - p > 1) {
+                double d = 1.0 - c[t] / c[p];
+                if (d >= delta) {
+                    if (peaks) {
+                        peaks[k] = p;
+                        troughs[k] = t;
+                        recs[k] = i;
+                        depth[k] = d;
+                    }
+                    if (tau) tau[k] = (double)(i - t) / (double)(t - p);
+                    k++;
+                }
+            }
+            p = i;
+        } else if (i == p + 1 || c[i] < c[t]) {
+            t = i;
+        }
+    }
+    return k;
+}
+
+long episode_scan(const double *c, long n, double delta, int64_t *peaks, int64_t *troughs,
+                  int64_t *recs, double *depth) {
+    return scan(c, n, delta, peaks, troughs, recs, depth, NULL);
+}
+
+static int ascending(const void *a, const void *b) {
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* The median of the completed episodes' duration ratios (recovery - trough)
+   / (trough - peak), as np.median takes it: the middle value, or the two
+   middle values' sum halved; NaN when no episode completed. tau is work
+   space for n / 2 values. */
+double median_tau(const double *c, long n, double delta, double *tau) {
+    long k = scan(c, n, delta, NULL, NULL, NULL, NULL, tau);
+    if (k == 0) return NAN;
+    qsort(tau, k, sizeof *tau, ascending);
+    return k % 2 ? tau[k / 2] : (tau[k / 2 - 1] + tau[k / 2]) / 2.0;
+}
+"""
+CC = "cc"
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@lru_cache(maxsize=1)
+def load():
+    """The compiled kernels. The first call for this source, these flags and
+    this compiler builds them into $XDG_CACHE_HOME/regimelab (by default
+    ~/.cache/regimelab); when that cannot be written, into a private temporary
+    directory, removed once the library is loaded."""
+    import ctypes
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    try:
+        version = subprocess.run([CC, "--version"], capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise OSError(f"regimelab's kernels need a C compiler, and `{CC} --version` failed: {exc}") from None
+    key = hashlib.sha256("\0".join((KERNEL_SOURCE, *CFLAGS, version.partition("\n")[0])).encode()).hexdigest()
+    cache = os.path.join(os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "regimelab")
+    path = os.path.join(cache, f"kernels-{key[:16]}.so")
+    private = None
+    if not os.path.exists(path):
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".tmp", ".kernels-", cache)
+        except OSError:
+            private = tempfile.mkdtemp(prefix="regimelab-")
+            path = os.path.join(private, "kernels.so")
+            fd, tmp = tempfile.mkstemp(".tmp", ".kernels-", private)
+        os.close(fd)
+        try:
+            # the source goes in on stdin, so the build leaves no .c file behind
+            done = subprocess.run([CC, *CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                                  input=KERNEL_SOURCE, capture_output=True, text=True)
+            if done.returncode:
+                reason = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[0]
+                raise OSError(f"`{CC}` could not compile regimelab's kernels: {reason}")
+            os.replace(tmp, path)  # whole or not at all, also when another process builds it too
+        finally:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+    try:
+        lib = ctypes.CDLL(path)
+    finally:
+        if private:
+            shutil.rmtree(private)
+    # checked on every call
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    lib.asym_vol_steps.argtypes = [f64, f64, ctypes.c_long] + [ctypes.c_double] * 6
+    lib.heston_variance.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 5
+    lib.asym_vol_steps.restype = lib.heston_variance.restype = None
+    lib.episode_scan.argtypes = [f64, ctypes.c_long, ctypes.c_double, i64, i64, i64, f64]
+    lib.episode_scan.restype = ctypes.c_long
+    lib.median_tau.argtypes = [f64, ctypes.c_long, ctypes.c_double, f64]
+    lib.median_tau.restype = ctypes.c_double
+    return lib

@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .dataio import PricePath
-from .episodes import episode_arrays
 from .resample import derive_rng, stationary_block_indices
 
 DT = 1.0 / 252.0
@@ -168,107 +168,21 @@ class NullStudySummary:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. The asym_vol and Heston variance recurrences are sequential,
-# so they run as the C loops below: the same IEEE operations in the same
-# order as the scalar Python loops in tests/oracles.py, so every value is the
-# same bit for bit (-ffp-contract=off keeps the compiler from fusing a
-# multiply and an add into one FMA). The markov_rs chain is a vectorised scan.
+# Step kernels. The asym_vol and Heston recurrences run as the C loops in
+# kernels.py; the markov_rs chain is a vectorised scan.
 # ---------------------------------------------------------------------------
-
-KERNEL_SOURCE = r"""
-#include <math.h>
-
-void asym_vol_steps(const double *z, double *r, long n, double dt, double mu,
-                    double sigma_base, double gamma, double lo, double hi) {
-    double sqdt = sqrt(dt), sigma = sigma_base;
-    for (long t = 0; t < n; t++) {
-        double step = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * z[t];
-        r[t] = step;
-        /* volatility for the next step, from this step's log return */
-        sigma = sigma_base * exp(gamma * step);
-        if (sigma < lo) sigma = lo;
-        else if (sigma > hi) sigma = hi;
-    }
-}
-
-/* v starts at v0 >= 0 and is clipped to +0.0, and no sum of these terms
-   gives -0.0, so v is its own floor */
-void heston_variance(const double *z2, const double *milstein, double *v_used, long n,
-                     double dt, double vbar, double kappa, double xi, double v0) {
-    double v = v0;
-    for (long t = 0; t < n; t++) {
-        v_used[t] = v;
-        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2[t] + milstein[t];
-        if (v < 0.0) v = 0.0;
-    }
-}
-"""
-CC = "cc"
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-@lru_cache(maxsize=1)
-def _kernels():
-    """The compiled step kernels. The first call for this source, these flags
-    and this compiler builds them into $XDG_CACHE_HOME/regimelab (by default
-    ~/.cache/regimelab); when that cannot be written, into a private temporary
-    directory, removed once the library is loaded."""
-    import ctypes
-    import hashlib
-    import shutil
-    import subprocess
-    import tempfile
-
-    try:
-        version = subprocess.run([CC, "--version"], capture_output=True, text=True, check=True).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise OSError(f"the asym_vol and heston models need a C compiler, and `{CC} --version` failed: {exc}") from None
-    key = hashlib.sha256("\0".join((KERNEL_SOURCE, *CFLAGS, version.partition("\n")[0])).encode()).hexdigest()
-    cache = os.path.join(os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "regimelab")
-    path = os.path.join(cache, f"kernels-{key[:16]}.so")
-    private = None
-    if not os.path.exists(path):
-        try:
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".tmp", ".kernels-", cache)
-        except OSError:
-            private = tempfile.mkdtemp(prefix="regimelab-")
-            path = os.path.join(private, "kernels.so")
-            fd, tmp = tempfile.mkstemp(".tmp", ".kernels-", private)
-        os.close(fd)
-        try:
-            # the source goes in on stdin, so the build leaves no .c file behind
-            done = subprocess.run([CC, *CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                                  input=KERNEL_SOURCE, capture_output=True, text=True)
-            if done.returncode:
-                reason = (done.stderr.strip().splitlines() or [f"exit status {done.returncode}"])[0]
-                raise OSError(f"`{CC}` could not compile the asym_vol and heston kernels: {reason}")
-            os.replace(tmp, path)  # whole or not at all, also when another process builds it too
-        finally:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
-    try:
-        lib = ctypes.CDLL(path)
-    finally:
-        if private:
-            shutil.rmtree(private)
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")  # checked on every call
-    lib.asym_vol_steps.argtypes = [f64, f64, ctypes.c_long] + [ctypes.c_double] * 6
-    lib.heston_variance.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 5
-    lib.asym_vol_steps.restype = lib.heston_variance.restype = None
-    return lib
 
 
 def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):
     r = np.empty(z.size)
-    _kernels().asym_vol_steps(z, r, z.size, dt, mu, sigma_base, gamma, floor, cap)
+    kernels.load().asym_vol_steps(z, r, z.size, dt, mu, sigma_base, gamma, floor, cap)
     return r
 
 
 def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
     v_used = np.empty(z2.size)  # floored variance driving each price step
     milstein = (0.25 * xi * xi) * (dt * z2 * z2 - dt)
-    _kernels().heston_variance(z2, milstein, v_used, z2.size, dt, vbar, kappa, xi, v0)
+    kernels.load().heston_variance(z2, milstein, v_used, z2.size, dt, vbar, kappa, xi, v0)
     steps = (mu - 0.5 * v_used) * dt + np.sqrt(v_used) * math.sqrt(dt) * z1
     return steps, v_used, int(np.count_nonzero(v_used <= eps_v))
 
@@ -355,16 +269,18 @@ def _run_slice(spec: NullSpec, start: int, stop: int) -> tuple[list[float], int,
     zero-episode paths."""
     medians: list[float] = []
     n_rejected = n_zero = 0
+    median_tau = kernels.load().median_tau
+    taus = np.empty(spec.n_days // 2)  # the scan's work space: a path has at most n_days // 2 episodes
     for i in range(start, stop):
         closes = simulate_closes(spec, i)
         if closes is None:
             n_rejected += 1
             continue
-        peaks, troughs, recs, _ = episode_arrays(closes, spec.delta)
-        if not peaks.size:
+        m = median_tau(closes, closes.size, spec.delta, taus)
+        if math.isnan(m):
             n_zero += 1
-            continue
-        medians.append(float(np.median((recs - troughs) / (troughs - peaks))))
+        else:
+            medians.append(m)
     return medians, n_rejected, n_zero
 
 
@@ -422,8 +338,7 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
         return [_summarise(spec, parts[i * k:(i + 1) * k], comparator_tau) for i, spec in enumerate(specs)]
 
     tasks = [(s, s.n_paths * j // k, s.n_paths * (j + 1) // k) for s in specs for j in range(k)]
-    if any(s.model in ("asym_vol", "heston") for s in specs):
-        _kernels()  # built or loaded once, here, before any worker forks, and a missing compiler fails here
+    kernels.load()  # built or loaded once, here, before any worker forks, and a missing compiler fails here
     if processes == 1:
         yield lambda: summaries(list(itertools.starmap(_run_slice, tasks)))
         return
@@ -431,8 +346,6 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
     import multiprocessing
     import signal
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    # np.median's first call imports numpy.ma (about 10 ms): once here, not in every worker
-    import numpy.ma  # noqa: F401
 
     # fork, not spawn: workers start with numpy and the specs already loaded;
     # workers take one slice at a time, so they finish together; unlike

@@ -14,7 +14,7 @@ settings.load_profile("default")
 
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """The session builds the asym_vol and heston kernels in its own temporary
+    """The session builds regimelab's C kernels in its own temporary
     directory, for itself and the commands it starts, not in the user's cache."""
     saved = os.environ.get("XDG_CACHE_HOME")
     os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))

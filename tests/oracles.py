@@ -84,6 +84,35 @@ def brute_force_episodes(closes, delta, allow_censored=False):
     return out
 
 
+def episode_arrays_reference(closes: np.ndarray, delta: float):
+    """Completed episodes with depth >= delta, as arrays: the numpy scan the
+    library ran before its episode scan moved to C.
+
+    Returns (peaks, troughs, recs, depth): the peak, trough and recovery
+    indices and the depths of the completed episodes, in order.
+    """
+    runmax = np.maximum.accumulate(closes)
+    highs = np.flatnonzero(closes == runmax)  # exact: runmax propagates the same float
+    peaks, recs = highs[:-1], highs[1:]
+    keep = recs - peaks > 1  # at least one strictly-below index between highs
+    peaks, recs = peaks[keep], recs[keep]
+    bounds = np.empty(2 * peaks.size, dtype=np.int64)
+    bounds[0::2] = peaks + 1
+    bounds[1::2] = recs
+    interior_min = np.minimum.reduceat(closes, bounds)[0::2]
+    depth = 1.0 - interior_min / closes[peaks]
+    deep = depth >= delta
+    peaks, recs, depth, interior_min = peaks[deep], recs[deep], depth[deep], interior_min[deep]
+    # lay the interiors [p+1, r) end to end; each interval's first index at
+    # its minimum is the first hit at or after the interval's offset
+    lens = recs - peaks - 1
+    offs = np.cumsum(lens) - lens
+    pos = np.arange(int(lens.sum())) + np.repeat(peaks + 1 - offs, lens)
+    hits = np.flatnonzero(closes[pos] == np.repeat(interior_min, lens))
+    troughs = pos[hits[np.searchsorted(hits, offs)]]
+    return peaks, troughs, recs, depth
+
+
 def breslow_loglik(gamma, durations, events, x):
     """Breslow partial log-likelihood from the risk-set definition."""
     durations = np.asarray(durations, float)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -15,11 +16,12 @@ import regimelab
 
 from oracles import (
     asym_vol_steps_reference,
+    episode_arrays_reference,
     heston_steps_reference,
     markov_steps_reference,
     stationary_block_indices_reference,
 )
-from regimelab.episodes import detect_episodes
+from regimelab.episodes import detect_episodes, episode_arrays
 from regimelab.nullmodels import (
     DEFAULT_PARAMS,
     DT,
@@ -442,9 +444,71 @@ class TestKernelsAgainstReference:
         assert n_bull == ref_n_bull
 
 
+def _assert_same_scan(closes, delta):
+    for got, want in zip(episode_arrays(closes, delta), episode_arrays_reference(closes, delta), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestEpisodeScanAgainstReference:
+    """The C episode scan equals the numpy scan in tests/oracles.py, and each
+    path's median duration ratio equals np.median of its taus, exactly."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n_days", [2_520, 19_170])
+    @pytest.mark.parametrize("delta", [0.03, 0.05, 0.10])
+    def test_null_paths(self, model, n_days, delta):
+        spec = replace(_study_spec(model), n_days=n_days)
+        closes_of = (simulate_closes(spec, i) for i in range(spec.n_paths))
+        paths = list(itertools.islice((c for c in closes_of if c is not None), 4))
+        assert len(paths) == 4
+        for closes in paths:
+            # with the +inf that detect_episodes appends to close a censored tail
+            for series in (closes, np.append(closes, np.inf)):
+                _assert_same_scan(series, delta)
+
+    @pytest.mark.parametrize("closes", [
+        pytest.param([100, 100, 100, 90, 100, 100, 80, 100], id="flat_tops"),
+        pytest.param([100, 90, 85, 85, 95, 85, 101, 95, 95, 102], id="tied_troughs"),
+        pytest.param([100, 101, 101, 102, 103, 103], id="adjacent_highs"),
+        pytest.param([100, 99, 100.5, 99.5, 101], id="no_episode"),
+        pytest.param([100, 80, 100, 120, 110, 90, 95], id="ends_in_drawdown"),
+        pytest.param([100, 95, 100, 75, 100], id="depth_at_delta"),
+        pytest.param([100, 90], id="length_2"),
+        pytest.param([100, 90, 100], id="length_3"),
+        pytest.param([100, 90, 95], id="length_3_open"),
+    ])
+    @pytest.mark.parametrize("delta", [0.03, 0.05, 0.10, 0.25])  # 1 - 75/100 is 0.25 exactly
+    def test_edge_cases(self, closes, delta):
+        closes = np.array(closes, dtype=float)
+        for series in (closes, np.append(closes, np.inf)):
+            _assert_same_scan(series, delta)
+
+    def test_slice_medians_equal_np_median(self):
+        # a drifting, calm gbm leaves some 300-day paths without a completed episode
+        specs = [_study_spec(m) for m in MODELS] + [
+            NullSpec("gbm", GbmParams(mu=0.2, sigma=0.1), n_days=300, n_paths=10, seed=3)]
+        counts = []
+        for spec in specs:
+            medians, n_rejected, n_zero = [], 0, 0
+            for i in range(spec.n_paths):
+                closes = simulate_closes(spec, i)
+                if closes is None:
+                    n_rejected += 1
+                    continue
+                peaks, troughs, recs, _ = episode_arrays_reference(closes, spec.delta)
+                counts.append(peaks.size)
+                if not peaks.size:
+                    n_zero += 1
+                    continue
+                medians.append(float(np.median((recs - troughs) / (troughs - peaks))))
+            assert _run_slice(spec, 0, spec.n_paths) == (medians, n_rejected, n_zero)
+        # paths with an odd and with an even number of episodes, and with none
+        assert {k % 2 for k in counts if k} == {0, 1} and 0 in counts
+
+
 class TestKernelBuild:
-    """The asym_vol and heston kernels build once per cache, in the parent, and
-    only where those models run; without a compiler those models fail loudly."""
+    """The kernels build once per cache, in the parent, and only for the
+    commands that need them; without a compiler those commands fail loudly."""
 
     # the CLI on a given number of null-study workers, whatever the CPUs this test may use
     ON_WORKERS = """\
@@ -473,12 +537,28 @@ sys.exit(cli.main(sys.argv[1:]))
         empty.mkdir()
         return str(empty)
 
-    @pytest.mark.parametrize("model", ["asym_vol", "heston"])
-    def test_no_compiler_fails_in_one_line(self, tmp_path, no_cc, model):
-        done = self.run_cli(tmp_path, *self.nulls(model), PATH=no_cc)
+    @staticmethod
+    def price_dir(tmp_path):
+        """data/sp500_daily.csv: a 2,000-day gbm path."""
+        closes = simulate_path(NullSpec("gbm", GbmParams(), n_days=2_000, n_paths=1, seed=12), 0).closes
+        dates = np.datetime64("1990-01-02", "D") + np.arange(closes.size)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data/sp500_daily.csv").write_text(
+            "date,close\n" + "".join(f"{d},{float(c)!r}\n" for d, c in zip(dates, closes)))
+
+    NEED_CC = {
+        **{model: ["nulls", "--models", model, "--paths", "6", "--days", "700"] for model in MODELS},
+        "episodes": ["episodes", "--bootstrap-b", "50"],
+        "r3": ["r3"],
+    }
+
+    @pytest.mark.parametrize("command", list(NEED_CC))
+    def test_no_compiler_fails_in_one_line(self, tmp_path, no_cc, command):
+        self.price_dir(tmp_path)
+        done = self.run_cli(tmp_path, *self.NEED_CC[command], "--data-dir", "data", "--out", "res", PATH=no_cc)
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
-            "error: the asym_vol and heston models need a C compiler, and `cc --version` failed: "
+            "error: regimelab's kernels need a C compiler, and `cc --version` failed: "
             "[Errno 2] No such file or directory: 'cc'"
         ]
         assert not (tmp_path / "res").exists()
@@ -493,28 +573,22 @@ sys.exit(cli.main(sys.argv[1:]))
         done = self.run_cli(tmp_path, *self.nulls("heston"), PATH=str(bin_dir))
         assert done.returncode == 1
         assert done.stderr.splitlines() == [
-            "error: `cc` could not compile the asym_vol and heston kernels: cc1: fatal error: out of memory"
+            "error: `cc` could not compile regimelab's kernels: cc1: fatal error: out of memory"
         ]
         assert not (tmp_path / "res").exists()
         assert list((tmp_path / "cache/regimelab").iterdir()) == []  # its temp file is gone
 
-    def test_other_models_and_version_need_no_compiler(self, tmp_path, no_cc):
-        spec = NullSpec("gbm", GbmParams(), n_days=2_000, n_paths=1, seed=12)
-        closes = simulate_path(spec, 0).closes
-        dates = np.datetime64("1990-01-02", "D") + np.arange(closes.size)
-        (tmp_path / "data").mkdir()
-        (tmp_path / "data/sp500_daily.csv").write_text(
-            "date,close\n" + "".join(f"{d},{float(c)!r}\n" for d, c in zip(dates, closes)))
+    def test_version_headline_cot_and_simulator_need_no_compiler(self, tmp_path, no_cc):
         runs = [
             ["--version"],
-            self.nulls("gbm,markov_rs"),
-            ["run-all", "--models", "block_bootstrap", "--paths", "4", "--days", "700", "--data-dir", "data",
-             "--out", "res-all", "--periods", "240", "--agents", "20", "--bootstrap-b", "50"],
+            ["headline", "--synthetic", "--periods", "240", "--agents", "20", "--out", "res"],
+            ["cot", "--out", "res"],
+            ["simulate-intermediary", "--periods", "240", "--agents", "20", "--out", "res"],
         ]
         for argv in runs:
-            done = self.run_cli(tmp_path, *argv, workers=2, PATH=no_cc)
+            done = self.run_cli(tmp_path, *argv, PATH=no_cc)
             assert done.returncode == 0, done.stderr
-        assert (tmp_path / "res/nulls.csv").exists() and (tmp_path / "res-all/nulls.csv").exists()
+        assert (tmp_path / "res/headline.csv").exists() and (tmp_path / "res/intermediary_panel.csv").exists()
         assert not (tmp_path / "cache").exists()  # nothing was built or looked up
 
     def test_built_once_in_the_parent(self, tmp_path):
