@@ -8,7 +8,10 @@ one FMA). The drawdown-recovery episode scan and each null path's median
 duration ratio run in C for speed: they compare floats and do the same
 divisions, sum and halving as the numpy scan in tests/oracles.py and
 np.median, so they equal them exactly. The scan's tie rules live in `scan`
-below.
+below. The stationary block bootstrap's walk (restart, wrap, gather and
+running sum) runs in C for speed too, from numpy's draws; it compares the
+same doubles and adds in the same order as the numpy walk in
+tests/oracles.py and np.cumsum, so it equals them exactly.
 """
 
 from __future__ import annotations
@@ -104,6 +107,36 @@ double median_tau(const double *c, long n, double delta, double *tau) {
     qsort(tau, k, sizeof *tau, ascending);
     return k % 2 ? tau[k / 2] : (tau[k / 2 - 1] + tau[k / 2]) / 2.0;
 }
+
+/* The stationary bootstrap's walk of `length` positions over a ring of n.
+   Position 0 takes starts[0]; position t > 0 takes the next start when
+   u[t - 1] < p, and otherwise the previous index + 1, wrapping to 0 at n.
+   starts holds one value more than u holds values below p. Writes the
+   indices to idx, or the running sum of x at them, added in order as
+   np.cumsum adds, to sum; whichever is not NULL. */
+static void walk(const double *u, const int64_t *starts, long n, long length, double p,
+                 const double *x, int64_t *idx, double *sum) {
+    int64_t j = starts[0];
+    double s = sum ? x[j] : 0.0;
+    if (idx) idx[0] = j;
+    if (sum) sum[0] = s;
+    for (long t = 1; t < length; t++) {
+        if (u[t - 1] < p) j = *++starts;
+        else if (++j == n) j = 0;
+        if (idx) idx[t] = j;
+        if (sum) sum[t] = s += x[j];
+    }
+}
+
+void block_indices(const double *u, const int64_t *starts, long n, long length, double p,
+                   int64_t *idx) {
+    walk(u, starts, n, length, p, NULL, idx, NULL);
+}
+
+void block_cumsum(const double *u, const int64_t *starts, long n, long length, double p,
+                  const double *x, double *sum) {
+    walk(u, starts, n, length, p, x, NULL, sum);
+}
 """
 CC = "cc"
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -164,4 +197,8 @@ def load():
     lib.episode_scan.restype = ctypes.c_long
     lib.median_tau.argtypes = [f64, ctypes.c_long, ctypes.c_double, f64]
     lib.median_tau.restype = ctypes.c_double
+    walk = [f64, i64, ctypes.c_long, ctypes.c_long, ctypes.c_double]
+    lib.block_indices.argtypes = walk + [i64]
+    lib.block_cumsum.argtypes = walk + [f64, f64]
+    lib.block_indices.restype = lib.block_cumsum.restype = None
     return lib

