@@ -47,7 +47,7 @@ from .nullmodels import (
     simulate_path,
 )
 from .regime import RegimeClassification, classify, lag_flags
-from .resample import derive_rng, percentile_ci_median, stationary_block_indices
+from .resample import derive_rng, percentile_ci_median
 from .survival import CoxFit, cox_fit
 from .timeseries import DetrendFit, detrend, log_returns, realized_vol
 

@@ -1,17 +1,18 @@
 """regimelab's C kernels, built on first use and called through ctypes.
 
-The asym_vol and Heston variance recurrences are sequential, so they run as
-C loops: the same IEEE operations in the same order as the scalar Python
-loops in tests/oracles.py, so every value is the same bit for bit
+Each entry point has one caller in the package. The asym_vol, Heston and
+markov_rs step recurrences are sequential, so they run as C loops, each the
+twin of its scalar Python loop in tests/oracles.py: the same IEEE
+operations in the same order, so every value is the same bit for bit
 (-ffp-contract=off keeps the compiler from fusing a multiply and an add into
 one FMA). The drawdown-recovery episode scan and each null path's median
 duration ratio run in C for speed: they compare floats and do the same
 divisions, sum and halving as the numpy scan in tests/oracles.py and
 np.median, so they equal them exactly. The scan's tie rules live in `scan`
-below. The stationary block bootstrap's walk (restart, wrap, gather and
-running sum) runs in C for speed too, from numpy's draws; it compares the
-same doubles and adds in the same order as the numpy walk in
-tests/oracles.py and np.cumsum, so it equals them exactly.
+below. The stationary block bootstrap's walk and running sum run in C for
+speed too, from numpy's draws; the walk compares the same doubles as the
+numpy walk in tests/oracles.py and adds in the same order as np.cumsum, so
+it equals them exactly.
 """
 
 from __future__ import annotations
@@ -40,16 +41,40 @@ void asym_vol_steps(const double *z, double *r, long n, double dt, double mu,
     }
 }
 
-/* v starts at v0 >= 0 and is clipped to +0.0, and no sum of these terms
-   gives -0.0, so v is its own floor */
-void heston_variance(const double *z2, const double *milstein, double *v_used, long n,
-                     double dt, double vbar, double kappa, double xi, double v0) {
-    double v = v0;
+/* heston_steps_reference as a loop; returns the count of steps with v <= eps_v. v starts
+   at v0 >= 0 and is clipped to +0.0, and no sum of these terms gives -0.0, so v is its own floor */
+long heston_steps(const double *z1, const double *z2, double *steps, double *v_used, long n,
+                  double dt, double mu, double vbar, double kappa, double xi, double v0,
+                  double eps_v) {
+    double sqdt = sqrt(dt), v = v0;
+    long degenerate = 0;
     for (long t = 0; t < n; t++) {
         v_used[t] = v;
-        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2[t] + milstein[t];
+        if (v <= eps_v) degenerate++;
+        steps[t] = (mu - 0.5 * v) * dt + sqrt(v) * sqdt * z1[t];
+        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2[t]
+            + (0.25 * xi * xi) * (dt * z2[t] * z2[t] - dt);
         if (v < 0.0) v = 0.0;
     }
+    return degenerate;
+}
+
+/* markov_steps_reference as a loop: step t of the chain (state 0 = bull, 1 = bear) leaves bull
+   when u[t] >= p11 and bear when u[t] >= p22, then takes the log return of its new state.
+   Returns the count of bull steps. */
+long markov_steps(const double *z, const double *u, double *steps, long n, double dt, double mu1,
+                  double s1, double p11, double mu2, double s2, double p22, long state) {
+    double sqdt = sqrt(dt);
+    double d[2] = {(mu1 - 0.5 * s1 * s1) * dt, (mu2 - 0.5 * s2 * s2) * dt};
+    double a[2] = {s1 * sqdt, s2 * sqdt};
+    long bull = 0;
+    state = state != 0;  /* as in the reference, every state but 0 is bear; d and a hold two */
+    for (long t = 0; t < n; t++) {
+        if (u[t] >= (state ? p22 : p11)) state = !state;
+        bull += !state;
+        steps[t] = d[state] + a[state] * z[t];
+    }
+    return bull;
 }
 
 /* The completed drawdown-recovery episodes of c[0..n), which holds no NaN.
@@ -108,34 +133,21 @@ double median_tau(const double *c, long n, double delta, double *tau) {
     return k % 2 ? tau[k / 2] : (tau[k / 2 - 1] + tau[k / 2]) / 2.0;
 }
 
-/* The stationary bootstrap's walk of `length` positions over a ring of n.
-   Position 0 takes starts[0]; position t > 0 takes the next start when
-   u[t - 1] < p, and otherwise the previous index + 1, wrapping to 0 at n.
-   starts holds one value more than u holds values below p. Writes the
-   indices to idx, or the running sum of x at them, added in order as
-   np.cumsum adds, to sum; whichever is not NULL. */
-static void walk(const double *u, const int64_t *starts, long n, long length, double p,
-                 const double *x, int64_t *idx, double *sum) {
+/* The stationary bootstrap's walk of `length` positions over a ring of n,
+   as the running sum of x at its indices, added in order as np.cumsum
+   adds. Position 0 takes starts[0]; position t > 0 takes the next start
+   when u[t - 1] < p, and otherwise the previous index + 1, wrapping to 0
+   at n. starts holds one value more than u holds values below p. */
+void block_cumsum(const double *u, const int64_t *starts, long n, long length, double p,
+                  const double *x, double *sum) {
     int64_t j = starts[0];
-    double s = sum ? x[j] : 0.0;
-    if (idx) idx[0] = j;
-    if (sum) sum[0] = s;
+    double s = x[j];
+    sum[0] = s;
     for (long t = 1; t < length; t++) {
         if (u[t - 1] < p) j = *++starts;
         else if (++j == n) j = 0;
-        if (idx) idx[t] = j;
-        if (sum) sum[t] = s += x[j];
+        sum[t] = s += x[j];
     }
-}
-
-void block_indices(const double *u, const int64_t *starts, long n, long length, double p,
-                   int64_t *idx) {
-    walk(u, starts, n, length, p, NULL, idx, NULL);
-}
-
-void block_cumsum(const double *u, const int64_t *starts, long n, long length, double p,
-                  const double *x, double *sum) {
-    walk(u, starts, n, length, p, x, NULL, sum);
 }
 """
 CC = "cc"
@@ -191,14 +203,12 @@ def load():
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     lib.asym_vol_steps.argtypes = [f64, f64, ctypes.c_long] + [ctypes.c_double] * 6
-    lib.heston_variance.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 5
-    lib.asym_vol_steps.restype = lib.heston_variance.restype = None
+    lib.heston_steps.argtypes = [f64, f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 7
+    lib.markov_steps.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 7 + [ctypes.c_long]
+    lib.asym_vol_steps.restype = lib.block_cumsum.restype = None
+    lib.heston_steps.restype = lib.markov_steps.restype = lib.episode_scan.restype = ctypes.c_long
     lib.episode_scan.argtypes = [f64, ctypes.c_long, ctypes.c_double, i64, i64, i64, f64]
-    lib.episode_scan.restype = ctypes.c_long
     lib.median_tau.argtypes = [f64, ctypes.c_long, ctypes.c_double, f64]
     lib.median_tau.restype = ctypes.c_double
-    walk = [f64, i64, ctypes.c_long, ctypes.c_long, ctypes.c_double]
-    lib.block_indices.argtypes = walk + [i64]
-    lib.block_cumsum.argtypes = walk + [f64, f64]
-    lib.block_indices.restype = lib.block_cumsum.restype = None
+    lib.block_cumsum.argtypes = [f64, i64, ctypes.c_long, ctypes.c_long, ctypes.c_double, f64, f64]
     return lib

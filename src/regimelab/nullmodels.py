@@ -172,8 +172,8 @@ class NullStudySummary:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. The asym_vol and Heston recurrences run as the C loops in
-# kernels.py; the markov_rs chain is a vectorised scan.
+# Step kernels: the C loops in kernels.py, each the twin of its scalar loop in
+# tests/oracles.py.
 # ---------------------------------------------------------------------------
 
 
@@ -184,34 +184,21 @@ def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):
 
 
 def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
-    v_used = np.empty(z2.size)  # floored variance driving each price step
-    milstein = (0.25 * xi * xi) * (dt * z2 * z2 - dt)
-    kernels.load().heston_variance(z2, milstein, v_used, z2.size, dt, vbar, kappa, xi, v0)
-    steps = (mu - 0.5 * v_used) * dt + np.sqrt(v_used) * math.sqrt(dt) * z1
-    return steps, v_used, int(np.count_nonzero(v_used <= eps_v))
+    if z2.shape != z1.shape:  # the C loop reads z2 at every index of z1
+        raise ValueError("z1 and z2 must have the same shape")
+    steps, v_used = np.empty(z1.size), np.empty(z1.size)  # v_used: the variance driving each step
+    n_degenerate = kernels.load().heston_steps(z1, z2, steps, v_used, z1.size, dt, mu, vbar, kappa, xi,
+                                               v0, eps_v)
+    return steps, v_used, n_degenerate
 
 
 def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
-    """Two-state chain (0 = bull, 1 = bear) driven by u, and its log returns.
-
-    Step t leaves bull if u[t] >= p11 and bear if u[t] >= p22. When exactly
-    one holds the new state is bear iff u[t] >= p11, whatever it was; when
-    both hold the state flips. So the state is the one set by the last
-    one-sided step (state0 before any), flipped once per two-sided step since.
-    """
-    n = z.size
-    leave_bull = u >= p11
-    leave_bear = u >= p22
-    # index 0 stands for the start: a one-sided step that sets state0
-    value = np.concatenate(([state0], leave_bull))
-    one_sided = np.concatenate(([True], leave_bull != leave_bear))
-    flips = np.cumsum(np.concatenate(([False], leave_bull & leave_bear)))
-    last = np.maximum.accumulate(np.where(one_sided, np.arange(n + 1), 0))
-    bear = ((value[last] + flips - flips[last]) & 1)[1:].astype(bool)
-    sqdt = math.sqrt(dt)
-    drift = np.where(bear, (mu2 - 0.5 * s2 * s2) * dt, (mu1 - 0.5 * s1 * s1) * dt)
-    steps = drift + np.where(bear, s2 * sqdt, s1 * sqdt) * z
-    return steps, n - int(np.count_nonzero(bear))
+    """Two-state chain (0 = bull, 1 = bear) driven by u, its log returns, and its bull count."""
+    if u.shape != z.shape:  # the C loop reads u at every index of z
+        raise ValueError("z and u must have the same shape")
+    steps = np.empty(z.size)
+    n_bull = kernels.load().markov_steps(z, u, steps, z.size, dt, mu1, s1, p11, mu2, s2, p22, state0)
+    return steps, n_bull
 
 
 def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:

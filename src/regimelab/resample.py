@@ -1,7 +1,7 @@
-"""Stationary block bootstrap walks and percentile confidence intervals.
+"""Stationary block bootstrap sums and percentile confidence intervals.
 
-The stationary bootstrap's walk runs as a C loop in kernels.py; its draws
-are numpy's, made here.
+The stationary bootstrap's walk and running sum run as one C loop in
+kernels.py; its draws are numpy's, made here.
 """
 
 from __future__ import annotations
@@ -23,11 +23,20 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _walk_draws(n: int, mean_block: float, rng: np.random.Generator, length: int):
-    """The draws of a stationary bootstrap walk of `length` over n, and its
-    restart probability. The restart uniforms come first, then one start
-    per block: the numpy walk in tests/oracles.py draws in this order too,
-    so both give the same indices for the same generator."""
+def stationary_block_cumsum(
+    x: np.ndarray, mean_block: float, rng: np.random.Generator, out: np.ndarray
+) -> None:
+    """Write to `out` the running sum of the contiguous float64 series x along
+    a Politis-Romano stationary bootstrap walk of out.size positions over it.
+
+    Position 0 is a uniform index in [0, x.size); each later position
+    restarts at one with probability 1/mean_block, and otherwise continues
+    the previous index + 1 modulo x.size, giving geometric block lengths
+    with the requested mean. The restart uniforms are drawn first, then one
+    start per block: the numpy walk in tests/oracles.py draws in this order
+    too, and the sums equal np.cumsum of x at its indices exactly.
+    """
+    n, length = x.size, out.size
     if n < 1 or length < 1:
         raise ValueError("n and length must be >= 1")
     if not mean_block >= 1:
@@ -35,36 +44,7 @@ def _walk_draws(n: int, mean_block: float, rng: np.random.Generator, length: int
     p = 1.0 / mean_block
     u = rng.random(length - 1)
     starts = rng.integers(0, n, size=1 + np.count_nonzero(u < p))
-    return u, starts, p
-
-
-def stationary_block_indices(
-    n: int, mean_block: float, rng: np.random.Generator, length: int | None = None
-) -> np.ndarray:
-    """Politis-Romano stationary bootstrap: `length` (default n) indices into
-    a circular series of n.
-
-    Each position restarts at a uniform index in [0, n) with probability
-    1/mean_block, otherwise continues the previous index + 1 modulo n, giving
-    geometric block lengths with the requested mean. With length == n this
-    is the usual circular stationary bootstrap of a series of n.
-    """
-    length = n if length is None else length
-    u, starts, p = _walk_draws(n, mean_block, rng, length)
-    idx = np.empty(length, dtype=np.int64)
-    kernels.load().block_indices(u, starts, n, length, p, idx)
-    return idx
-
-
-def stationary_block_cumsum(
-    x: np.ndarray, mean_block: float, rng: np.random.Generator, out: np.ndarray
-) -> None:
-    """Write to `out` the running sum of the contiguous float64 series x along
-    a stationary bootstrap walk of out.size positions over it: exactly
-    np.cumsum(x[stationary_block_indices(x.size, mean_block, rng, out.size)]),
-    with the same draws, but without the index and gathered arrays."""
-    u, starts, p = _walk_draws(x.size, mean_block, rng, out.size)
-    kernels.load().block_cumsum(u, starts, x.size, out.size, p, x, out)
+    kernels.load().block_cumsum(u, starts, n, length, p, x, out)
 
 
 def percentile_ci_median(values: np.ndarray, B: int, rng: np.random.Generator) -> tuple[float, float]:

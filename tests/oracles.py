@@ -148,8 +148,8 @@ def grid_search_gamma(durations, events, x, lo=-30.0, hi=5.0, step=0.01):
 
 
 # The null-model step recurrences as scalar loops that index numpy arrays one
-# element at a time: the form the library ran before its kernels moved to C
-# (asym_vol, heston) and to a vectorised state scan (markov_rs).
+# element at a time: the form the library ran before its kernels moved to C.
+# Each C loop in kernels.py does the same IEEE operations in the same order.
 
 def asym_vol_steps_reference(z, dt, mu, sigma_base, gamma, floor, cap):
     n = z.size

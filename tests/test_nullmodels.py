@@ -22,6 +22,7 @@ from oracles import (
     markov_steps_reference,
     stationary_block_indices_reference,
 )
+from test_resample import walk_indices
 from regimelab.episodes import detect_episodes, episode_arrays
 from regimelab.nullmodels import (
     DEFAULT_PARAMS,
@@ -44,7 +45,7 @@ from regimelab.nullmodels import (
     simulate_path,
     usable_cpus,
 )
-from regimelab.resample import derive_rng, stationary_block_cumsum, stationary_block_indices
+from regimelab.resample import derive_rng, stationary_block_cumsum
 
 
 class TestSpecValidation:
@@ -440,7 +441,12 @@ class TestKernelsAgainstReference:
         self.test_heston(seed, n, None, None, xi=2.0)
 
     @pytest.mark.parametrize("seed,n", KERNEL_CASES)
-    @pytest.mark.parametrize("state0", [0, 1])
+    def test_heston_variance_equal_to_eps_v_is_degenerate(self, seed, n):
+        # at xi = 2 the variance is often clipped to 0.0, so with eps_v = 0.0 those steps sit at eps_v exactly
+        self.test_heston(seed, n, None, 0.0, xi=2.0)
+
+    @pytest.mark.parametrize("seed,n", KERNEL_CASES)
+    @pytest.mark.parametrize("state0", [0, 1, 2])  # the reference takes every state but 0 as bear
     def test_markov(self, seed, n, state0):
         p = MarkovRsParams()
         z, _, u = _draws(seed, n)
@@ -450,6 +456,13 @@ class TestKernelsAgainstReference:
         ref_steps, ref_n_bull = markov_steps_reference(*args)
         assert np.array_equal(steps, ref_steps)
         assert n_bull == ref_n_bull
+
+    def test_draws_of_different_sizes_rejected(self):
+        a, b = np.zeros(5), np.zeros(4)
+        with pytest.raises(ValueError, match="z1 and z2 must have the same shape"):
+            _heston_steps(a, b, DT, 0.08, 0.0247, 5.0, 0.5, 0.0247, 1e-3)
+        with pytest.raises(ValueError, match="z and u must have the same shape"):
+            _markov_steps(a, b, DT, 0.15, 0.12, 0.98, -0.1, 0.25, 0.93, 0)
 
     @settings(max_examples=150)
     @given(_markov_inputs())
@@ -544,10 +557,11 @@ class _ScriptedRng:
 
 
 def _assert_same_walk(n, mean_block, length, make_rng, x=None):
-    """Both C walks equal the numpy walk, from generators that make_rng()
-    makes alike, and leave a real generator where the numpy walk leaves it."""
+    """The C walk's indices and its running sum of x equal the numpy walk and
+    np.cumsum, from generators that make_rng() makes alike, and leave a real
+    generator where the numpy walk leaves it."""
     rng, ref_rng = make_rng(), make_rng()
-    idx = stationary_block_indices(n, mean_block, rng, length)
+    idx = walk_indices(n, mean_block, rng, length)
     want = block_walk_reference(n, mean_block, ref_rng, length)
     assert idx.dtype == want.dtype and np.array_equal(idx, want)
     x = np.random.default_rng(n).normal(0, 0.01, n) if x is None else x
@@ -559,7 +573,7 @@ def _assert_same_walk(n, mean_block, length, make_rng, x=None):
 
 
 class TestBlockWalkAgainstReference:
-    """The C stationary-bootstrap walk, as indices and as a running sum,
+    """The C stationary-bootstrap walk, its indices and its running sum,
     equals the numpy walk in tests/oracles.py and np.cumsum exactly."""
 
     @pytest.mark.parametrize("n,length", [
@@ -596,10 +610,8 @@ class TestBlockWalkAgainstReference:
                 _assert_same_walk(x.size, 3, 40, lambda: np.random.default_rng(seed), x=x)
 
     def test_nan_mean_block_rejected(self):
-        for walk in (lambda rng: stationary_block_indices(10, math.nan, rng),
-                     lambda rng: stationary_block_cumsum(np.ones(10), math.nan, rng, np.empty(10))):
-            with pytest.raises(ValueError, match="mean_block must be >= 1"):
-                walk(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mean_block must be >= 1"):
+            stationary_block_cumsum(np.ones(10), math.nan, np.random.default_rng(0), np.empty(10))
 
     @pytest.mark.parametrize("n_days", [2_520, 19_170])
     @pytest.mark.parametrize("seed", [0, 1, 41, 2**31])
