@@ -299,7 +299,6 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
     commands = {step: COMMANDS[step][0] for step in steps}
     with ExitStack() as stack:
         if "nulls" in steps:
-            import numpy.random  # noqa: F401  (once here, before the fork, not in each worker)
             # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
             with suppress(ValueError, OSError):
                 commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(

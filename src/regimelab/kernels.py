@@ -1,18 +1,17 @@
 """regimelab's C kernels, built on first use and called through ctypes.
 
-Each entry point has one caller in the package. The asym_vol, Heston and
-markov_rs step recurrences are sequential, so they run as C loops, each the
-twin of its scalar Python loop in tests/oracles.py: the same IEEE
-operations in the same order, so every value is the same bit for bit
+Each entry point has one caller in the package, and each output a reader.
+Each parametric null's log-price path is one C loop, the running sum of its
+steps; each step is the twin of its oracle in tests/oracles.py (a scalar
+loop, or gbm's numpy formula), the same IEEE operations in the same order,
+and the sum adds as np.cumsum adds, so the path is the same bit for bit
 (-ffp-contract=off keeps the compiler from fusing a multiply and an add into
 one FMA). The drawdown-recovery episode scan and each null path's median
 duration ratio run in C for speed: they compare floats and do the same
 divisions, sum and halving as the numpy scan in tests/oracles.py and
 np.median, so they equal them exactly. The scan's tie rules live in `scan`
-below. The stationary block bootstrap's walk and running sum run in C for
-speed too, from numpy's draws; the walk compares the same doubles as the
-numpy walk in tests/oracles.py and adds in the same order as np.cumsum, so
-it equals them exactly.
+below. The stationary block bootstrap's walk and running sum run in C too,
+from numpy's draws, and equal the numpy walk and np.cumsum exactly.
 """
 
 from __future__ import annotations
@@ -28,12 +27,19 @@ KERNEL_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-void asym_vol_steps(const double *z, double *r, long n, double dt, double mu,
-                    double sigma_base, double gamma, double lo, double hi) {
-    double sqdt = sqrt(dt), sigma = sigma_base;
+/* The null models' log-price paths write their steps' running sum s to out[0..n); s starts at
+   -0.0, as -0.0 + x is x for every x (0.0 + -0.0 is 0.0), so out equals np.cumsum of the steps */
+void gbm_path(const double *z, double *out, long n, double d, double a) {
+    double s = -0.0;
+    for (long t = 0; t < n; t++) out[t] = s += d + a * z[t];
+}
+
+void asym_vol_path(const double *z, double *out, long n, double dt, double mu, double sigma_base,
+                   double gamma, double lo, double hi) {
+    double sqdt = sqrt(dt), sigma = sigma_base, s = -0.0;
     for (long t = 0; t < n; t++) {
         double step = (mu - 0.5 * sigma * sigma) * dt + sigma * sqdt * z[t];
-        r[t] = step;
+        out[t] = s += step;
         /* volatility for the next step, from this step's log return */
         sigma = sigma_base * exp(gamma * step);
         if (sigma < lo) sigma = lo;
@@ -41,40 +47,35 @@ void asym_vol_steps(const double *z, double *r, long n, double dt, double mu,
     }
 }
 
-/* heston_steps_reference as a loop; returns the count of steps with v <= eps_v. v starts
-   at v0 >= 0 and is clipped to +0.0, and no sum of these terms gives -0.0, so v is its own floor */
-long heston_steps(const double *z1, const double *z2, double *steps, double *v_used, long n,
-                  double dt, double mu, double vbar, double kappa, double xi, double v0,
-                  double eps_v) {
-    double sqdt = sqrt(dt), v = v0;
+/* heston_steps_reference as a loop, with z2 = rho * z1 + c * w; returns the count of steps with
+   v <= eps_v. v starts at v0 >= 0, is clipped to +0.0 and never sums to -0.0: it is its own vplus */
+long heston_path(const double *z1, const double *w, double *out, long n, double dt, double mu,
+                 double vbar, double kappa, double xi, double v0, double eps_v, double rho, double c) {
+    double sqdt = sqrt(dt), v = v0, s = -0.0;
     long degenerate = 0;
     for (long t = 0; t < n; t++) {
-        v_used[t] = v;
+        double z2 = rho * z1[t] + c * w[t];
         if (v <= eps_v) degenerate++;
-        steps[t] = (mu - 0.5 * v) * dt + sqrt(v) * sqdt * z1[t];
-        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2[t]
-            + (0.25 * xi * xi) * (dt * z2[t] * z2[t] - dt);
+        out[t] = s += (mu - 0.5 * v) * dt + sqrt(v) * sqdt * z1[t];
+        v = v + kappa * (vbar - v) * dt + xi * sqrt(v * dt) * z2
+            + (0.25 * xi * xi) * (dt * z2 * z2 - dt);
         if (v < 0.0) v = 0.0;
     }
     return degenerate;
 }
 
 /* markov_steps_reference as a loop: step t of the chain (state 0 = bull, 1 = bear) leaves bull
-   when u[t] >= p11 and bear when u[t] >= p22, then takes the log return of its new state.
-   Returns the count of bull steps. */
-long markov_steps(const double *z, const double *u, double *steps, long n, double dt, double mu1,
-                  double s1, double p11, double mu2, double s2, double p22, long state) {
-    double sqdt = sqrt(dt);
+   when u[t] >= p11 and bear when u[t] >= p22, then takes the log return of its new state. */
+void markov_path(const double *z, const double *u, double *out, long n, double dt, double mu1,
+                 double s1, double p11, double mu2, double s2, double p22, long state) {
+    double sqdt = sqrt(dt), s = -0.0;
     double d[2] = {(mu1 - 0.5 * s1 * s1) * dt, (mu2 - 0.5 * s2 * s2) * dt};
     double a[2] = {s1 * sqdt, s2 * sqdt};
-    long bull = 0;
     state = state != 0;  /* as in the reference, every state but 0 is bear; d and a hold two */
     for (long t = 0; t < n; t++) {
         if (u[t] >= (state ? p22 : p11)) state = !state;
-        bull += !state;
-        steps[t] = d[state] + a[state] * z[t];
+        out[t] = s += d[state] + a[state] * z[t];
     }
-    return bull;
 }
 
 /* The completed drawdown-recovery episodes of c[0..n), which holds no NaN.
@@ -202,11 +203,12 @@ def load():
     # checked on every call
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    lib.asym_vol_steps.argtypes = [f64, f64, ctypes.c_long] + [ctypes.c_double] * 6
-    lib.heston_steps.argtypes = [f64, f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 7
-    lib.markov_steps.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 7 + [ctypes.c_long]
-    lib.asym_vol_steps.restype = lib.block_cumsum.restype = None
-    lib.heston_steps.restype = lib.markov_steps.restype = lib.episode_scan.restype = ctypes.c_long
+    lib.gbm_path.argtypes = [f64, f64, ctypes.c_long, ctypes.c_double, ctypes.c_double]
+    lib.asym_vol_path.argtypes = [f64, f64, ctypes.c_long] + [ctypes.c_double] * 6
+    lib.heston_path.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 9
+    lib.markov_path.argtypes = [f64, f64, f64, ctypes.c_long] + [ctypes.c_double] * 7 + [ctypes.c_long]
+    lib.gbm_path.restype = lib.asym_vol_path.restype = lib.markov_path.restype = lib.block_cumsum.restype = None
+    lib.heston_path.restype = lib.episode_scan.restype = ctypes.c_long
     lib.episode_scan.argtypes = [f64, ctypes.c_long, ctypes.c_double, i64, i64, i64, f64]
     lib.median_tau.argtypes = [f64, ctypes.c_long, ctypes.c_double, f64]
     lib.median_tau.restype = ctypes.c_double

@@ -31,12 +31,20 @@ P0 = 100.0
 SLICES_PER_WORKER = 4  # path slices per process, so workers slowed by other load still finish together
 
 
+def _require_finite(params) -> None:
+    """A NaN or infinite parameter would give NaN closes or switch a check off."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GbmParams:
     mu: float = 0.08
     sigma: float = 0.157
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
 
@@ -50,6 +58,7 @@ class AsymVolParams:
     mu: float = 0.08
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.vol_floor < self.sigma_base < self.vol_cap:
             raise ValueError("need vol_floor < sigma_base < vol_cap")
 
@@ -72,6 +81,7 @@ class HestonParams:
     max_zero_frac: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must be in (-1, 1)")
         if min(self.vbar, self.kappa, self.xi) <= 0:
@@ -92,6 +102,9 @@ class MarkovRsParams:
     stay_bear: float = 0.93
 
     def __post_init__(self) -> None:
+        _require_finite(self)
+        if min(self.sigma_bull, self.sigma_bear) < 0:
+            raise ValueError("sigma_bull and sigma_bear must be >= 0")
         for p in (self.stay_bull, self.stay_bear):
             if not 0.0 < p < 1.0:
                 raise ValueError("stay probabilities must be in (0, 1)")
@@ -172,33 +185,44 @@ class NullStudySummary:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels: the C loops in kernels.py, each the twin of its scalar loop in
-# tests/oracles.py.
+# Path kernels: the C loops in kernels.py. Each returns the log path, 0.0 and then
+# the running sum of its steps: np.cumsum of its oracle's steps in tests/oracles.py.
 # ---------------------------------------------------------------------------
 
 
-def _asym_vol_steps(z, dt, mu, sigma_base, gamma, floor, cap):
-    r = np.empty(z.size)
-    kernels.load().asym_vol_steps(z, r, z.size, dt, mu, sigma_base, gamma, floor, cap)
-    return r
+def _gbm_path(z, dt, mu, sigma):
+    logp = np.empty(z.size + 1)
+    logp[0] = 0.0
+    kernels.load().gbm_path(z, logp[1:], z.size, (mu - 0.5 * sigma * sigma) * dt, sigma * math.sqrt(dt))
+    return logp
 
 
-def _heston_steps(z1, z2, dt, mu, vbar, kappa, xi, v0, eps_v):
-    if z2.shape != z1.shape:  # the C loop reads z2 at every index of z1
-        raise ValueError("z1 and z2 must have the same shape")
-    steps, v_used = np.empty(z1.size), np.empty(z1.size)  # v_used: the variance driving each step
-    n_degenerate = kernels.load().heston_steps(z1, z2, steps, v_used, z1.size, dt, mu, vbar, kappa, xi,
-                                               v0, eps_v)
-    return steps, v_used, n_degenerate
+def _asym_vol_path(z, dt, mu, sigma_base, gamma, floor, cap):
+    logp = np.empty(z.size + 1)
+    logp[0] = 0.0
+    kernels.load().asym_vol_path(z, logp[1:], z.size, dt, mu, sigma_base, gamma, floor, cap)
+    return logp
 
 
-def _markov_steps(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
-    """Two-state chain (0 = bull, 1 = bear) driven by u, its log returns, and its bull count."""
+def _heston_path(z1, w, dt, mu, vbar, kappa, xi, rho, v0, eps_v):
+    """The log path driven by z1 and rho * z1 + sqrt(1 - rho^2) * w, and its count of steps with v <= eps_v."""
+    if w.shape != z1.shape:  # the C loop reads w at every index of z1
+        raise ValueError("z1 and w must have the same shape")
+    logp = np.empty(z1.size + 1)
+    logp[0] = 0.0
+    n_degenerate = kernels.load().heston_path(z1, w, logp[1:], z1.size, dt, mu, vbar, kappa, xi, v0, eps_v,
+                                              rho, math.sqrt(1.0 - rho * rho))
+    return logp, n_degenerate
+
+
+def _markov_path(z, u, dt, mu1, s1, p11, mu2, s2, p22, state0):
+    """The log path of a two-state chain (0 = bull, 1 = bear) driven by u."""
     if u.shape != z.shape:  # the C loop reads u at every index of z
         raise ValueError("z and u must have the same shape")
-    steps = np.empty(z.size)
-    n_bull = kernels.load().markov_steps(z, u, steps, z.size, dt, mu1, s1, p11, mu2, s2, p22, state0)
-    return steps, n_bull
+    logp = np.empty(z.size + 1)
+    logp[0] = 0.0
+    kernels.load().markov_path(z, u, logp[1:], z.size, dt, mu1, s1, p11, mu2, s2, p22, state0)
+    return logp
 
 
 def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
@@ -210,42 +234,29 @@ def simulate_closes(spec: NullSpec, path_index: int) -> np.ndarray | None:
     if spec.model == "block_bootstrap":
         # blocks start anywhere in the whole return series and wrap around it, whatever n_days;
         # the walk adds up the returns it visits, so no index or step array is made
-        closes = np.empty(spec.n_days)
-        closes[0] = P0
-        stationary_block_cumsum(p.returns, p.mean_block, rng, closes[1:])
-        closes[1:] = P0 * np.exp(closes[1:])
-        return closes
-    if spec.model == "gbm":
-        z = rng.standard_normal(n_steps)
-        steps = (p.mu - 0.5 * p.sigma * p.sigma) * DT + p.sigma * math.sqrt(DT) * z
+        logp = np.empty(spec.n_days)
+        logp[0] = 0.0
+        stationary_block_cumsum(p.returns, p.mean_block, rng, logp[1:])
+    elif spec.model == "gbm":
+        logp = _gbm_path(rng.standard_normal(n_steps), DT, p.mu, p.sigma)
     elif spec.model == "asym_vol":
-        z = rng.standard_normal(n_steps)
-        steps = _asym_vol_steps(z, DT, p.mu, p.sigma_base, p.gamma_lev, p.vol_floor, p.vol_cap)
+        logp = _asym_vol_path(rng.standard_normal(n_steps), DT, p.mu, p.sigma_base, p.gamma_lev, p.vol_floor,
+                              p.vol_cap)
     elif spec.model == "heston":
         z1 = rng.standard_normal(n_steps)
         w = rng.standard_normal(n_steps)
-        z2 = p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * w
-        steps, _, n_degenerate = _heston_steps(
-            z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, p.vbar, p.eps_v
-        )
+        logp, n_degenerate = _heston_path(z1, w, DT, p.mu, p.vbar, p.kappa, p.xi, p.rho, p.vbar, p.eps_v)
         if n_degenerate / n_steps > p.max_zero_frac:
             return None
     else:  # markov_rs
         state0 = 0 if rng.random() < p.stationary_bull else 1
         z = rng.standard_normal(n_steps)
         u = rng.random(n_steps)
-        steps, _ = _markov_steps(
-            z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull,
-            p.mu_bear, p.sigma_bear, p.stay_bear, state0,
-        )
-
-    # closes is allocated after the draws and the cumsum is a temporary: allocating
-    # closes first, or keeping the cumsum to the end, made a path 0.1-0.2 ms slower
-    # (19,170 days, x86-64, glibc malloc)
-    closes = np.empty(spec.n_days)
-    closes[0] = P0
-    closes[1:] = P0 * np.exp(np.cumsum(steps))
-    return closes
+        logp = _markov_path(z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull, p.mu_bear, p.sigma_bear,
+                            p.stay_bear, state0)
+    np.exp(logp, out=logp)
+    logp *= P0
+    return logp
 
 
 @lru_cache(maxsize=8)
@@ -337,6 +348,7 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
 
     tasks = [(s, s.n_paths * j // k, s.n_paths * (j + 1) // k) for s in specs for j in range(k)]
     kernels.load()  # built or loaded once, here, before any worker forks, and a missing compiler fails here
+    import numpy.random  # noqa: F401  (imported once, here, before the fork, not in each worker)
     if processes == 1:
         yield lambda: summaries(list(itertools.starmap(_run_slice, tasks)))
         return

@@ -147,9 +147,15 @@ def grid_search_gamma(durations, events, x, lo=-30.0, hi=5.0, step=0.01):
     return float(grid[int(np.argmax(ll))])
 
 
-# The null-model step recurrences as scalar loops that index numpy arrays one
-# element at a time: the form the library ran before its kernels moved to C.
-# Each C loop in kernels.py does the same IEEE operations in the same order.
+# The null-model steps: gbm's numpy formula and the other recurrences as scalar
+# loops that index numpy arrays one element at a time, the forms the library
+# ran before its path kernels moved to C. Each C loop in kernels.py does the
+# same IEEE operations in the same order, and its log path is np.cumsum of
+# these steps.
+
+def gbm_steps_reference(z, dt, mu, sigma):
+    return (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * z
+
 
 def asym_vol_steps_reference(z, dt, mu, sigma_base, gamma, floor, cap):
     n = z.size

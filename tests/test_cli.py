@@ -334,12 +334,12 @@ sys.exit(cli.main(sys.argv[1:]))
     def interrupt(self, tmp_path, command, kill):
         """Start `command` on 2 workers in a new session, wait until both workers have
         started a slice, then call kill(pid); the seconds until the command ended."""
-        # 1,500-path Heston slices of 19,170 days run for about 4 s; a worker
+        # 5,000-path Heston slices of 19,170 days run for about 5 s; a worker
         # that survives the signal finishes its slice before the command can end
         src = str(Path(regimelab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.Popen(
-            [sys.executable, "-c", self.BUSY_WORKERS, command, "--models", "heston", "--paths", "12000",
+            [sys.executable, "-c", self.BUSY_WORKERS, command, "--models", "heston", "--paths", "40000",
              "--days", "19170", "--out", "res", "--data-dir", "none"],
             cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,

@@ -18,6 +18,7 @@ from oracles import (
     asym_vol_steps_reference,
     block_walk_reference,
     episode_arrays_reference,
+    gbm_steps_reference,
     heston_steps_reference,
     markov_steps_reference,
     stationary_block_indices_reference,
@@ -35,9 +36,10 @@ from regimelab.nullmodels import (
     MarkovRsParams,
     NullSpec,
     NullStudySummary,
-    _asym_vol_steps,
-    _heston_steps,
-    _markov_steps,
+    _asym_vol_path,
+    _gbm_path,
+    _heston_path,
+    _markov_path,
     _run_slice,
     run_null_studies,
     run_null_study,
@@ -82,6 +84,20 @@ class TestSpecValidation:
     def test_markov_stationary_share(self):
         p = MarkovRsParams()
         assert p.stationary_bull == pytest.approx(0.07 / 0.09)
+
+    @pytest.mark.parametrize("kind", [GbmParams, AsymVolParams, HestonParams, MarkovRsParams])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, kind, bad):
+        # a NaN gives NaN closes, which the C scan does not take, or switches Heston's rejection off
+        for name in kind.__dataclass_fields__:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+                kind(**{name: bad})
+
+    @pytest.mark.parametrize("field", ["sigma_bull", "sigma_bear"])
+    def test_negative_markov_sigma_rejected(self, field):
+        with pytest.raises(ValueError, match="^sigma_bull and sigma_bear must be >= 0$"):
+            MarkovRsParams(**{field: -0.01})
+        assert getattr(MarkovRsParams(**{field: 0.0}), field) == 0.0
 
 
 class TestGbm:
@@ -152,9 +168,12 @@ class TestHeston:
         rng = derive_rng(1, 0)
         n = 19_169
         z1 = rng.standard_normal(n)
-        z2 = p.rho * z1 + math.sqrt(1 - p.rho**2) * rng.standard_normal(n)
-        _, v_used, n_deg = _heston_steps(z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, p.vbar, p.eps_v)
-        assert v_used.min() >= 0.0
+        w = rng.standard_normal(n)
+        logp, n_deg = _heston_path(z1, w, DT, p.mu, p.vbar, p.kappa, p.xi, p.rho, p.vbar, p.eps_v)
+        z2 = p.rho * z1 + math.sqrt(1 - p.rho**2) * w
+        ref_steps, v_used, _ = heston_steps_reference(z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, p.vbar, p.eps_v)
+        _assert_log_path(logp, ref_steps)
+        assert v_used.min() >= 0.0 and np.isfinite(logp).all()
         assert n_deg == int(np.sum(v_used <= p.eps_v))
 
     def test_rejection_plumbing(self):
@@ -181,10 +200,9 @@ class TestMarkovRs:
             state0 = 0 if rng.random() < p.stationary_bull else 1
             z = rng.standard_normal(n)
             u = rng.random(n)
-            _, n_bull = _markov_steps(
-                z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull,
-                p.mu_bear, p.sigma_bear, p.stay_bear, state0,
-            )
+            args = (z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull, p.mu_bear, p.sigma_bear, p.stay_bear, state0)
+            ref_steps, n_bull = markov_steps_reference(*args)
+            _assert_log_path(_markov_path(*args), ref_steps)
             fracs.append(n_bull / n)
         assert abs(float(np.mean(fracs)) - p.stationary_bull) < 0.02
 
@@ -377,6 +395,11 @@ class TestWorkers:
 KERNEL_CASES = [(seed, n) for seed in range(5) for n in (19_169, 2_519)]
 
 
+def _assert_log_path(logp, ref_steps):
+    """A path kernel's log path is 0.0 and then np.cumsum of the oracle's steps, bit for bit."""
+    assert logp.tobytes() == np.concatenate(([0.0], np.cumsum(ref_steps))).tobytes()
+
+
 def _draws(seed, n):
     rng = derive_rng(seed, 0)
     return rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
@@ -401,7 +424,8 @@ def _markov_inputs(draw):
 
 
 class TestKernelsAgainstReference:
-    """The step kernels reproduce the scalar loops in tests/oracles.py exactly."""
+    """The path kernels' log paths are np.cumsum of the scalar loops' steps in
+    tests/oracles.py exactly."""
 
     @pytest.mark.parametrize("seed,n", KERNEL_CASES)
     @pytest.mark.parametrize("gamma", [AsymVolParams().gamma_lev, -50.0])
@@ -409,8 +433,8 @@ class TestKernelsAgainstReference:
         p = AsymVolParams(gamma_lev=gamma)
         z, _, _ = _draws(seed, n)
         args = (z, DT, p.mu, p.sigma_base, p.gamma_lev, p.vol_floor, p.vol_cap)
-        steps = _asym_vol_steps(*args)
-        assert np.array_equal(steps, asym_vol_steps_reference(*args))
+        steps = asym_vol_steps_reference(*args)
+        _assert_log_path(_asym_vol_path(*args), steps)
         if gamma == -50.0 and n == 19_169:
             raw = p.sigma_base * np.exp(p.gamma_lev * steps[:-1])
             assert raw.min() < p.vol_floor and raw.max() > p.vol_cap
@@ -423,17 +447,16 @@ class TestKernelsAgainstReference:
         eps_v = p.eps_v if eps_v is None else eps_v
         z1, w, _ = _draws(seed, n)
         z2 = p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * w
-        args = (z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, v0, eps_v)
-        steps, v_used, n_degenerate = _heston_steps(*args)
-        ref_steps, ref_v_used, ref_n_degenerate = heston_steps_reference(*args)
-        assert np.array_equal(steps, ref_steps)
-        assert np.array_equal(v_used, ref_v_used)
+        logp, n_degenerate = _heston_path(z1, w, DT, p.mu, p.vbar, p.kappa, p.xi, p.rho, v0, eps_v)
+        ref_steps, ref_v_used, ref_n_degenerate = heston_steps_reference(z1, z2, DT, p.mu, p.vbar, p.kappa,
+                                                                         p.xi, v0, eps_v)
+        _assert_log_path(logp, ref_steps)
         assert n_degenerate == ref_n_degenerate
         if eps_v == 1.0:
             assert n_degenerate == n
         if xi is not None:
             # the variance step went below zero and was clipped, on at least 1% of the steps
-            assert np.count_nonzero(v_used == 0.0) > n // 100
+            assert np.count_nonzero(ref_v_used == 0.0) > n // 100 and np.isfinite(logp).all()
 
     @pytest.mark.parametrize("seed,n", KERNEL_CASES)
     def test_heston_clipped(self, seed, n):
@@ -452,17 +475,14 @@ class TestKernelsAgainstReference:
         z, _, u = _draws(seed, n)
         args = (z, u, DT, p.mu_bull, p.sigma_bull, p.stay_bull,
                 p.mu_bear, p.sigma_bear, p.stay_bear, state0)
-        steps, n_bull = _markov_steps(*args)
-        ref_steps, ref_n_bull = markov_steps_reference(*args)
-        assert np.array_equal(steps, ref_steps)
-        assert n_bull == ref_n_bull
+        _assert_log_path(_markov_path(*args), markov_steps_reference(*args)[0])
 
     def test_draws_of_different_sizes_rejected(self):
         a, b = np.zeros(5), np.zeros(4)
-        with pytest.raises(ValueError, match="z1 and z2 must have the same shape"):
-            _heston_steps(a, b, DT, 0.08, 0.0247, 5.0, 0.5, 0.0247, 1e-3)
+        with pytest.raises(ValueError, match="z1 and w must have the same shape"):
+            _heston_path(a, b, DT, 0.08, 0.0247, 5.0, 0.5, -0.75, 0.0247, 1e-3)
         with pytest.raises(ValueError, match="z and u must have the same shape"):
-            _markov_steps(a, b, DT, 0.15, 0.12, 0.98, -0.1, 0.25, 0.93, 0)
+            _markov_path(a, b, DT, 0.15, 0.12, 0.98, -0.1, 0.25, 0.93, 0)
 
     @settings(max_examples=150)
     @given(_markov_inputs())
@@ -473,10 +493,7 @@ class TestKernelsAgainstReference:
         z, u, p11, p22, state0 = inputs
         p = MarkovRsParams()
         args = (z, u, DT, p.mu_bull, p.sigma_bull, p11, p.mu_bear, p.sigma_bear, p22, state0)
-        steps, n_bull = _markov_steps(*args)
-        ref_steps, ref_n_bull = markov_steps_reference(*args)
-        assert np.array_equal(steps, ref_steps)
-        assert n_bull == ref_n_bull
+        _assert_log_path(_markov_path(*args), markov_steps_reference(*args)[0])
 
 
 def _assert_same_scan(closes, delta):
@@ -623,6 +640,70 @@ class TestBlockWalkAgainstReference:
             idx = block_walk_reference(emp.size, 63, derive_rng(seed, i), n_days - 1)
             want = np.concatenate(([100.0], 100.0 * np.exp(np.cumsum(emp[idx]))))
             assert np.array_equal(simulate_closes(spec, i), want)
+
+
+def _reference_closes(spec, i):
+    """simulate_closes from the oracles: the same draws in the same order, then np.cumsum and np.exp."""
+    rng, n, p = derive_rng(spec.seed, i), spec.n_days - 1, spec.params
+    if spec.model == "gbm":
+        steps = gbm_steps_reference(rng.standard_normal(n), DT, p.mu, p.sigma)
+    elif spec.model == "asym_vol":
+        steps = asym_vol_steps_reference(rng.standard_normal(n), DT, p.mu, p.sigma_base, p.gamma_lev,
+                                         p.vol_floor, p.vol_cap)
+    elif spec.model == "heston":
+        z1 = rng.standard_normal(n)
+        z2 = p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * rng.standard_normal(n)
+        steps, _, n_degenerate = heston_steps_reference(z1, z2, DT, p.mu, p.vbar, p.kappa, p.xi, p.vbar, p.eps_v)
+        if n_degenerate / n > p.max_zero_frac:
+            return None
+    else:
+        state0 = 0 if rng.random() < p.stationary_bull else 1
+        z = rng.standard_normal(n)
+        steps, _ = markov_steps_reference(z, rng.random(n), DT, p.mu_bull, p.sigma_bull, p.stay_bull,
+                                          p.mu_bear, p.sigma_bear, p.stay_bear, state0)
+    return np.concatenate(([100.0], 100.0 * np.exp(np.cumsum(steps))))
+
+
+class TestPathsAgainstReference:
+    """simulate_closes of each parametric model equals its oracle's steps,
+    summed by np.cumsum, then exp and times 100, exactly."""
+
+    @pytest.mark.parametrize("n_days", [2_520, 19_170])
+    @pytest.mark.parametrize("model,params,accepted", [
+        pytest.param("gbm", GbmParams(), 3, id="gbm"),
+        pytest.param("asym_vol", AsymVolParams(), 3, id="asym_vol"),
+        pytest.param("heston", HestonParams(), None, id="heston"),
+        # xi = 2 clips the variance to zero often: every path is rejected, unless max_zero_frac is 1
+        pytest.param("heston", HestonParams(xi=2.0), 0, id="heston_rejected"),
+        pytest.param("heston", HestonParams(xi=2.0, max_zero_frac=1.0), 3, id="heston_clipped"),
+        pytest.param("markov_rs", MarkovRsParams(), 3, id="markov_rs"),
+    ])
+    def test_simulate_closes(self, n_days, model, params, accepted):
+        spec = NullSpec(model, params, n_days=n_days, n_paths=3, seed=5)
+        closes = [simulate_closes(spec, i) for i in range(spec.n_paths)]
+        want = [_reference_closes(spec, i) for i in range(spec.n_paths)]
+        assert [c is None for c in closes] == [w is None for w in want]
+        assert all(c is None or np.array_equal(c, w) for c, w in zip(closes, want))
+        if accepted is not None:
+            assert sum(c is not None for c in closes) == accepted
+
+    @pytest.mark.parametrize("model", ["gbm", "asym_vol", "heston", "markov_rs"])
+    def test_signed_zeros(self, model):
+        # every step is -0.0 (zero volatility, mu = -0.0, a negative first draw); -0.0 + -0.0 is
+        # -0.0 but 0.0 + -0.0 is 0.0, so a running sum that began at 0.0 would lose the sign
+        z = np.array([-1.0, 0.5, -2.0])
+        u = np.zeros(z.size)
+        path, want = {
+            "gbm": lambda: (_gbm_path(z, DT, -0.0, 0.0), gbm_steps_reference(z, DT, -0.0, 0.0)),
+            "asym_vol": lambda: (_asym_vol_path(z, DT, -0.0, 0.0, -5.0, 0.0, 0.0),
+                                 asym_vol_steps_reference(z, DT, -0.0, 0.0, -5.0, 0.0, 0.0)),
+            "heston": lambda: (_heston_path(z, z, DT, -0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1e-3)[0],
+                               heston_steps_reference(z, z, DT, -0.0, 0.0, 5.0, 0.0, 0.0, 1e-3)[0]),
+            "markov_rs": lambda: (_markov_path(z, u, DT, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, 0),
+                                  markov_steps_reference(z, u, DT, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, 0)[0]),
+        }[model]()
+        assert np.signbit(want).any()
+        _assert_log_path(path, want)
 
 
 class TestKernelBuild:
