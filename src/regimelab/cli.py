@@ -299,6 +299,9 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
     commands = {step: COMMANDS[step][0] for step in steps}
     with ExitStack() as stack:
         if "nulls" in steps:
+            # run-all draws numbers itself, so its workers inherit numpy.random; a pooled nulls parent never
+            # draws one, and leaves the import (several MB with the libcrypto it brings) to its workers
+            import numpy.random  # noqa: F401
             # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
             with suppress(ValueError, OSError):
                 commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(

@@ -160,20 +160,24 @@ def load():
     """The compiled kernels. The first call for this source, these flags and
     this compiler builds them into $XDG_CACHE_HOME/regimelab (by default
     ~/.cache/regimelab); when that cannot be written, into a private temporary
-    directory, removed once the library is loaded."""
+    directory, removed once the library is loaded. The file is named by the
+    CRC-32 and Adler-32 of the source, the flags and the first line of
+    `cc --version`: 64 bits from zlib, where hashlib would load OpenSSL's
+    libcrypto, several MB, into every command for a file name."""
     import ctypes
-    import hashlib
     import shutil
     import subprocess
     import tempfile
+    import zlib
 
     try:
         version = subprocess.run([CC, "--version"], capture_output=True, text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError) as exc:
         raise OSError(f"regimelab's kernels need a C compiler, and `{CC} --version` failed: {exc}") from None
-    key = hashlib.sha256("\0".join((KERNEL_SOURCE, *CFLAGS, version.partition("\n")[0])).encode()).hexdigest()
+    material = "\0".join((KERNEL_SOURCE, *CFLAGS, version.partition("\n")[0])).encode()
+    key = f"{zlib.crc32(material):08x}{zlib.adler32(material):08x}"
     cache = os.path.join(os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache"), "regimelab")
-    path = os.path.join(cache, f"kernels-{key[:16]}.so")
+    path = os.path.join(cache, f"kernels-{key}.so")
     private = None
     if not os.path.exists(path):
         try:

@@ -86,6 +86,11 @@ class HestonParams:
             raise ValueError("rho must be in (-1, 1)")
         if min(self.vbar, self.kappa, self.xi) <= 0:
             raise ValueError("vbar, kappa, xi must be positive")
+        # v is never below zero, so a negative eps_v would switch the rejection off
+        if self.eps_v < 0:
+            raise ValueError("eps_v must be >= 0")
+        if not 0.0 <= self.max_zero_frac <= 1.0:
+            raise ValueError("max_zero_frac must be in [0, 1]")
 
     @property
     def feller_ratio(self) -> float:
@@ -348,7 +353,6 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
 
     tasks = [(s, s.n_paths * j // k, s.n_paths * (j + 1) // k) for s in specs for j in range(k)]
     kernels.load()  # built or loaded once, here, before any worker forks, and a missing compiler fails here
-    import numpy.random  # noqa: F401  (imported once, here, before the fork, not in each worker)
     if processes == 1:
         yield lambda: summaries(list(itertools.starmap(_run_slice, tasks)))
         return

@@ -2,6 +2,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regimelab
+from regimelab import kernels
 
 from oracles import (
     asym_vol_steps_reference,
@@ -98,6 +101,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^sigma_bull and sigma_bear must be >= 0$"):
             MarkovRsParams(**{field: -0.01})
         assert getattr(MarkovRsParams(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("eps_v", -1e-12, "eps_v must be >= 0"),
+        ("eps_v", -1.0, "eps_v must be >= 0"),
+        ("max_zero_frac", -0.01, "max_zero_frac must be in [0, 1]"),
+        ("max_zero_frac", 1.01, "max_zero_frac must be in [0, 1]"),
+    ])
+    def test_heston_rejection_cannot_be_switched_off(self, field, bad, message):
+        # the variance is never below zero, so eps_v < 0 would accept every path
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HestonParams(**{field: bad})
+        assert HestonParams(eps_v=0.0, max_zero_frac=0.0).eps_v == 0.0
+        assert HestonParams(max_zero_frac=1.0).max_zero_frac == 1.0
 
 
 class TestGbm:
@@ -719,11 +735,17 @@ cli.usable_cpus = lambda: workers
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+    # ON_WORKERS, and then which of numpy.random and OpenSSL's _hashlib the parent process holds
+    ON_WORKERS_THEN_MODULES = ON_WORKERS.replace("sys.exit(cli.main(sys.argv[1:]))", """\
+code = cli.main(sys.argv[1:])
+print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+sys.exit(code)""")
+
     @staticmethod
-    def run_cli(tmp_path, *argv, workers=1, **env):
+    def run_cli(tmp_path, *argv, workers=1, script=ON_WORKERS, **env):
         src = str(Path(regimelab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path / "cache"), **env}
-        return subprocess.run([sys.executable, "-c", TestKernelBuild.ON_WORKERS, str(workers), *argv],
+        return subprocess.run([sys.executable, "-c", script, str(workers), *argv],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
 
     @staticmethod
@@ -802,6 +824,54 @@ sys.exit(cli.main(sys.argv[1:]))
         assert done.returncode == 0, done.stderr
         assert list(cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built  # loaded, not rebuilt
         assert (tmp_path / "res1/nulls.csv").read_bytes() == (tmp_path / "res2/nulls.csv").read_bytes()
+
+    def test_pooled_nulls_parent_leaves_numpy_random_to_the_workers(self, tmp_path):
+        done = self.run_cli(tmp_path, *self.nulls("gbm,heston", "res2"), workers=2,
+                            script=self.ON_WORKERS_THEN_MODULES)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"  # the parent never draws, so it leaves numpy.random out
+        done = self.run_cli(tmp_path, *self.nulls("gbm,heston", "res1"), workers=1)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "res1/nulls.csv").read_bytes() == (tmp_path / "res2/nulls.csv").read_bytes()
+
+    def test_loading_leaves_openssl_out(self, tmp_path):
+        script = ("import sys; before = set(sys.modules); from regimelab import cli, kernels; kernels.load(); "
+                  "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))")
+        done = self.run_cli(tmp_path, script=script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    @pytest.fixture
+    def fresh_cache(self, tmp_path, monkeypatch):
+        """An empty kernel cache, and kernels.load() that looks it up again on every call."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        kernels.load.cache_clear()
+        yield tmp_path / "cache/regimelab"
+        kernels.load.cache_clear()  # the next caller loads the session's library again
+
+    @pytest.mark.parametrize("change", ["source", "flags", "compiler"])
+    def test_cache_name_covers_its_key(self, fresh_cache, tmp_path, monkeypatch, change):
+        kernels.load()
+        (first,) = fresh_cache.iterdir()
+        built = first.stat().st_mtime_ns
+        if change == "source":  # one byte, in a comment
+            source = kernels.KERNEL_SOURCE.replace("running sum", "running Sum", 1)
+            assert sum(a != b for a, b in zip(source, kernels.KERNEL_SOURCE)) == 1
+            monkeypatch.setattr(kernels, "KERNEL_SOURCE", source)
+        elif change == "flags":
+            monkeypatch.setattr(kernels, "CFLAGS", tuple("-O1" if f == "-O2" else f for f in kernels.CFLAGS))
+        else:  # a `cc` that reports another version and otherwise runs the real compiler
+            cc = tmp_path / "bin/cc"
+            cc.parent.mkdir()
+            cc.write_text(f'#!/bin/sh\n[ "$1" = --version ] && {{ echo "fake cc 99.0"; exit 0; }}\n'
+                          f'exec {shutil.which(kernels.CC)} "$@"\n')
+            cc.chmod(0o755)
+            monkeypatch.setenv("PATH", f"{cc.parent}{os.pathsep}{os.environ['PATH']}")
+        kernels.load.cache_clear()
+        kernels.load()
+        (second,) = set(fresh_cache.iterdir()) - {first}  # a second library, and the first left in place
+        assert second.name.startswith("kernels-") and second.suffix == ".so"
+        assert first.stat().st_mtime_ns == built
 
     def test_unwritable_cache_builds_privately(self, tmp_path):
         (tmp_path / "cache").write_text("a file, so no directory can be made under it")
