@@ -217,6 +217,9 @@ def _null_specs(cfg: RunConfig) -> list[NullSpec]:
     bad = [m for m in models if m not in MODELS]
     if bad:
         raise ValueError(f"--models: unknown models {bad}; choose from {','.join(MODELS)}")
+    repeated = [m for m in dict.fromkeys(models) if models.count(m) > 1]
+    if repeated:
+        raise ValueError(f"--models: repeated models {repeated}; name each model once")
     returns = None
     price_file = cfg.price_path()
     if "block_bootstrap" in models:
@@ -304,8 +307,8 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
             import numpy.random  # noqa: F401
             # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
             with suppress(ValueError, OSError):
-                commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(
-                    null_studies(_null_specs(cfg), cfg.comparator, usable_cpus())))
+                commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(null_studies(
+                    _null_specs(cfg), cfg.comparator, usable_cpus(), overlapped="episodes" in steps)))
         failures += sum(_run(step, command, cfg) for step, command in commands.items())
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")

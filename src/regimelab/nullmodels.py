@@ -29,6 +29,10 @@ DT = 1.0 / 252.0
 P0 = 100.0
 
 SLICES_PER_WORKER = 4  # path slices per process, so workers slowed by other load still finish together
+# a study set under this many path steps, with nothing to overlap, runs in-process. Four 2,520-day studies,
+# one process against two (2-CPU x86 host, medians of two series): at 3.0M steps 0.53-0.55 against
+# 0.58-0.59 s wall and 0.67-0.68 against 0.89-0.91 s CPU; at 4.5M and 6.0M two were 0.02-0.21 s faster in wall
+STEPS_PER_PROCESS = 4_000_000
 
 
 def _require_finite(params) -> None:
@@ -329,23 +333,31 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1):
+def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1,
+                 overlapped: bool = False):
     """Start the studies; yield a function that waits for them and returns
     run_null_study's summary of each spec, in order.
 
-    Each study's paths are cut into SLICES_PER_WORKER contiguous slices per
+    The studies run on at most `workers` processes. A study set under
+    STEPS_PER_PROCESS path steps runs in-process, as there a second process
+    costs more CPU than it saves in wall time, unless `overlapped`: the caller
+    works while the pool runs, which the threshold was not measured on. Each
+    study's paths are cut into SLICES_PER_WORKER contiguous slices per
     process (some empty). With several processes, all slices go to one fork
     pool on entry, so the caller works while they run; with one, they run
-    in-process when the function is called. Path i depends on (seed, i) only,
-    so the summaries do not depend on `workers`. A worker that dies raises
-    ChildProcessError; an exception that leaves the block ends the workers.
+    in-process when the function is called. Path i depends on (seed, i)
+    only, so the summaries do not depend on the process count. A worker that
+    dies raises ChildProcessError; an exception that leaves the block ends
+    the workers.
     """
     if not 0 < comparator_tau < math.inf:
         raise ValueError(f"comparator must be positive and finite, got {comparator_tau}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    total_steps = sum(s.n_paths * (s.n_days - 1) for s in specs)  # the specs share one pool
     # no fork (Windows): run in-process
-    processes = min(workers, max((s.n_paths for s in specs), default=1)) if hasattr(os, "fork") else 1
+    pooled = hasattr(os, "fork") and (overlapped or total_steps >= STEPS_PER_PROCESS)
+    processes = min(workers, max((s.n_paths for s in specs), default=1)) if pooled else 1
     k = SLICES_PER_WORKER * processes
 
     def summaries(parts: list) -> list[NullStudySummary]:

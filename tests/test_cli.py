@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -250,6 +251,21 @@ class TestNullsCmd:
                    "--data-dir", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize("models,repeated", [
+        ("gbm,gbm", ["gbm"]),
+        ("heston,gbm,heston,gbm,heston", ["heston", "gbm"]),
+    ])
+    def test_repeated_model(self, tmp_path, capsys, models, repeated):
+        # each study would run again and write an identical row
+        out = tmp_path / "r"
+        rc = main(["nulls", "--models", models, "--paths", "4", "--days", "300", "--out", str(out),
+                   "--data-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --models: repeated models {repeated}; name each model once"
+        ]
+        assert not out.exists()
+
     def test_negative_seed_names_field(self, tmp_path, capsys):
         out = tmp_path / "r"
         rc = main(["nulls", "--models", "gbm", "--seed", "-1", "--out", str(out),
@@ -284,6 +300,7 @@ def dying_slice(spec, start, stop):
 
 nullmodels._run_slice = dying_slice
 cli.usable_cpus = lambda: 2
+nullmodels.STEPS_PER_PROCESS = 1  # a pool, however small the study
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -389,21 +406,41 @@ sys.exit(cli.main(sys.argv[1:]))
         assert "--models" in err and "gbm,asym_vol,heston,markov_rs,block_bootstrap" in err
         assert not out.exists()
 
-    @staticmethod
-    def pooled_and_pinned(tmp_path, argv, env):
-        """(output, {table: bytes}) of `regimelab <argv>` on every usable CPU, then pinned
-        to one, where it runs in-process; stdout and stderr share one file."""
+    # the CLI with a pool for studies of any size; each worker that runs a slice leaves a file named after its pid
+    ANY_SIZE_POOL = """\
+import os, sys
+from regimelab import cli, nullmodels
+
+parent, run_slice = os.getpid(), nullmodels._run_slice
+
+def marked_slice(spec, start, stop):
+    if os.getpid() != parent:
+        open(f"worker-{os.getpid()}", "w").close()
+    return run_slice(spec, start, stop)
+
+nullmodels._run_slice = marked_slice
+nullmodels.STEPS_PER_PROCESS = 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @classmethod
+    def pooled_and_pinned(cls, tmp_path, argv, env):
+        """(output, {table: bytes}) of `regimelab <argv>` on every usable CPU with a pool
+        for studies of any size, then of `python -m regimelab.cli <argv>` pinned to one
+        CPU, where it runs in-process; stdout and stderr share one file. Last, the
+        number of worker processes that ran a slice in the first run."""
         one_cpu = {min(os.sched_getaffinity(0))}
         got = []
-        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+        for entry, pin in ((["-c", cls.ANY_SIZE_POOL], None),
+                           (["-m", "regimelab.cli"], lambda: os.sched_setaffinity(0, one_cpu))):
             out, log = tmp_path / "res", tmp_path / "output.txt"
             shutil.rmtree(out, ignore_errors=True)
             with open(log, "wb") as f:
-                subprocess.run([sys.executable, "-m", "regimelab.cli", *argv, "--out", "res"], cwd=tmp_path,
+                subprocess.run([sys.executable, *entry, *argv, "--out", "res"], cwd=tmp_path,
                                env=env, stdout=f, stderr=subprocess.STDOUT, timeout=120, preexec_fn=pin)
             tables = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
             got.append((log.read_bytes(), tables))
-        return got
+        return (*got, len(list(tmp_path.glob("worker-*"))))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or usable_cpus() < 2,
                         reason="needs two usable CPUs and a settable CPU affinity")
@@ -413,8 +450,9 @@ sys.exit(cli.main(sys.argv[1:]))
         src = str(Path(regimelab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         env.pop("PYTHONUNBUFFERED", None)
-        pooled, pinned = self.pooled_and_pinned(
+        pooled, pinned, workers = self.pooled_and_pinned(
             tmp_path, ["nulls", "--paths", "12", "--days", "700", "--data-dir", "none"], env)
+        assert workers > 0
         assert pooled == pinned
         assert pooled[0].count(b"note: block_bootstrap skipped") == 1
         assert list(pooled[1]) == ["nulls.csv"]
@@ -446,7 +484,8 @@ sys.exit(cli.main(sys.argv[1:]))
         argv = ["run-all", "--prices", "prices.csv", "--data-dir", "none", "--models", "gbm,block_bootstrap",
                 "--paths", "12", "--days", "700", "--periods", "240", "--agents", "20",
                 "--bootstrap-b", "50", *flags]
-        pooled, pinned = self.pooled_and_pinned(tmp_path, argv, env)
+        pooled, pinned, workers = self.pooled_and_pinned(tmp_path, argv, env)
+        assert (workers > 0) == (failure is None)  # each failure here comes before the pool would start
         assert pooled == pinned
         lines = pooled[0].decode().splitlines()
         if failure is None:
@@ -553,6 +592,22 @@ class TestRunAll:
         assert rc == 0
         for stem in ("headline", "episodes", "buckets", "r3_depth", "cox", "nulls"):
             assert (out / f"{stem}.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool needs fork")
+    @pytest.mark.parametrize("with_prices", [True, False], ids=["prices", "data-free"])
+    def test_small_study_set_pooled_only_beside_episodes_and_r3(self, tmp_path, gbm_csv, monkeypatch,
+                                                               with_prices):
+        # far under STEPS_PER_PROCESS, the studies still get a pool where it runs them during episodes and r3
+        get_context, started = multiprocessing.get_context, []
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: started.append(method) or get_context(method))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        prices = ["--prices", str(gbm_csv)] if with_prices else []
+        rc = main(["run-all", *prices, "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "res"),
+                   "--models", "gbm", "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20",
+                   "--bootstrap-b", "50"])
+        assert rc == 0
+        assert started == ["fork"] * with_prices
 
     def test_price_file_read_once(self, tmp_path, gbm_csv, monkeypatch):
         # episodes, r3 and the block-bootstrap null share one parse of the price file

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import itertools
 import math
 import multiprocessing
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regimelab
-from regimelab import kernels
+from regimelab import kernels, nullmodels
 
 from oracles import (
     asym_vol_steps_reference,
@@ -44,6 +45,7 @@ from regimelab.nullmodels import (
     _heston_path,
     _markov_path,
     _run_slice,
+    null_studies,
     run_null_studies,
     run_null_study,
     simulate_closes,
@@ -368,10 +370,27 @@ class TestRunNullStudy:
 class TestWorkers:
     """Path i depends on (seed, i) only, whatever process or slice runs it."""
 
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The number of processes of each pool started."""
+        executor, started = concurrent.futures.process.ProcessPoolExecutor, []
+
+        def counted(max_workers, **kwargs):
+            started.append(max_workers)
+            return executor(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", counted)
+        return started
+
+    @pytest.fixture
+    def any_size(self, monkeypatch):
+        monkeypatch.setattr(nullmodels, "STEPS_PER_PROCESS", 1)  # a pool, however small the study set
+
     @pytest.mark.parametrize("model", MODELS)
-    def test_row_same_for_every_worker_count(self, model):
+    def test_row_same_for_every_worker_count(self, model, any_size, pools):
         spec = _study_spec(model)
         assert run_null_study(spec, 1.35, workers=2).row() == run_null_study(spec, 1.35, workers=1).row()
+        assert pools == [2]
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("size", [1, 7, 30])
@@ -382,12 +401,44 @@ class TestWorkers:
         assert joined == _run_slice(spec, 0, spec.n_paths)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_studies_with_fewer_paths_than_slices(self, workers):
+    def test_studies_with_fewer_paths_than_slices(self, workers, any_size, pools):
         # with 1 and 3 paths, some of the SLICES_PER_WORKER slices per process are empty
         specs = [replace(_study_spec(model), n_paths=n)
                  for model, n in (("gbm", 1), ("markov_rs", 3), ("block_bootstrap", 12))]
         want = [run_null_study(spec, 1.35, workers=1).row() for spec in specs]
         assert [s.row() for s in run_null_studies(specs, 1.35, workers=workers)] == want
+        assert pools == [2] * (workers - 1)
+
+    def test_study_set_below_steps_per_process_runs_in_process(self, monkeypatch):
+        specs = [_study_spec(model) for model in MODELS]
+        assert sum(s.n_paths * (s.n_days - 1) for s in specs) < nullmodels.STEPS_PER_PROCESS
+        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
+
+        def no_pool(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert [s.row() for s in run_null_studies(specs, 1.35, workers=2)] == want
+
+    def test_overlapped_study_set_below_steps_per_process_pooled(self, pools):
+        # the caller works while the pool runs, so a pool pays at any size
+        specs = [_study_spec(model) for model in MODELS]
+        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
+        with null_studies(specs, 1.35, workers=2, overlapped=True) as collect:
+            assert [s.row() for s in collect()] == want
+        assert pools == [2]
+
+    @pytest.mark.parametrize("short", [0, 1], ids=["at", "one-path-below"])
+    def test_pool_from_steps_per_process(self, pools, short):
+        # two 2,001-day studies share the pool, so their 2,000-step paths add up to the threshold;
+        # from there, every worker asked for starts
+        n_paths = nullmodels.STEPS_PER_PROCESS // 4_000
+        assert n_paths * 4_000 == nullmodels.STEPS_PER_PROCESS
+        specs = [NullSpec("gbm", GbmParams(), n_days=2_001, n_paths=n_paths, seed=17),
+                 NullSpec("markov_rs", MarkovRsParams(), n_days=2_001, n_paths=n_paths - short, seed=17)]
+        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
+        assert [s.row() for s in run_null_studies(specs, 1.35, workers=3)] == want
+        assert pools == [3] * (1 - short)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
@@ -726,12 +777,13 @@ class TestKernelBuild:
     """The kernels build once per cache, in the parent, and only for the
     commands that need them; without a compiler those commands fail loudly."""
 
-    # the CLI on a given number of null-study workers, whatever the CPUs this test may use
+    # the CLI on a given number of null-study workers, whatever the CPUs this test may use and the study's size
     ON_WORKERS = """\
 import sys
-from regimelab import cli
+from regimelab import cli, nullmodels
 workers = int(sys.argv.pop(1))
 cli.usable_cpus = lambda: workers
+nullmodels.STEPS_PER_PROCESS = 1
 sys.exit(cli.main(sys.argv[1:]))
 """
 
