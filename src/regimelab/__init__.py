@@ -8,7 +8,6 @@ from .dataio import (
     load_exposure_csv,
     load_monthly_csv,
     load_price_csv,
-    read_table,
     write_table,
 )
 from .econometrics import (
@@ -30,8 +29,6 @@ from .episodes import (
 from .intermediary import (
     IntermediaryConfig,
     SimulatedPanel,
-    recovery_time_additive,
-    recovery_time_multiplicative,
     simulate,
 )
 from .nullmodels import (

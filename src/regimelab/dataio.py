@@ -260,28 +260,3 @@ def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-def _parse_cell(s: str):
-    if s == "":
-        return None
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def read_table(path: str | Path) -> list[dict]:
-    """Read back a table written by write_table (CSV or JSON by extension)."""
-    path = Path(path)
-    if path.suffix == ".json":
-        with open(path) as fh:
-            return json.load(fh)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return [{c: _parse_cell(v) for c, v in zip(header, row)} for row in reader]

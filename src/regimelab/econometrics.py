@@ -110,14 +110,6 @@ class HeadlineFit:
     threshold: float
 
     @property
-    def a(self) -> float:
-        return float(self.fit.coef[0])
-
-    @property
-    def a_S(self) -> float:
-        return float(self.fit.coef[1])
-
-    @property
     def b(self) -> float:
         return float(self.fit.coef[2])
 

@@ -140,21 +140,3 @@ def to_monthly_table(panel: SimulatedPanel, start_month: str = "1995-01") -> Mon
     """Expose the simulated aggregate as a monthly exposure table."""
     months = (np.datetime64(start_month, "M") + np.arange(panel.vol.size)).astype(str).tolist()
     return MonthlyTable(months, panel.aggregate.copy(), panel.vol.copy())
-
-
-def recovery_time_additive(retention: float, level: float, rate: float) -> float:
-    """Periods to regain the prior level under constant-rate additive growth."""
-    if not 0.0 < retention < 1.0:
-        raise ValueError("retention must be in (0, 1)")
-    if level <= 0 or rate <= 0:
-        raise ValueError("level and rate must be positive")
-    return (1.0 - retention) * level / rate
-
-
-def recovery_time_multiplicative(retention: float, growth: float) -> float:
-    """Periods to regain the prior level under constant multiplicative growth."""
-    if not 0.0 < retention < 1.0:
-        raise ValueError("retention must be in (0, 1)")
-    if growth <= 0:
-        raise ValueError("growth must be positive")
-    return -math.log(retention) / math.log(1.0 + growth)

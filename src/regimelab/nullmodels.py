@@ -96,10 +96,6 @@ class HestonParams:
         if not 0.0 <= self.max_zero_frac <= 1.0:
             raise ValueError("max_zero_frac must be in [0, 1]")
 
-    @property
-    def feller_ratio(self) -> float:
-        return 2.0 * self.kappa * self.vbar / (self.xi * self.xi)
-
 
 @dataclass(frozen=True)
 class MarkovRsParams:

@@ -1,4 +1,7 @@
+import csv
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,31 @@ def make_price_path(closes, start="2000-01-03"):
     closes = np.asarray(closes, dtype=float)
     dates = np.datetime64(start, "D") + np.arange(closes.size)
     return PricePath(dates, closes)
+
+
+def _parse_cell(s: str):
+    if s == "":
+        return None
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    try:
+        return float(s)
+    except ValueError:
+        return s
+
+
+def read_table(path: str | Path) -> list[dict]:
+    """Read back a table written by write_table (CSV or JSON by extension)."""
+    path = Path(path)
+    if path.suffix == ".json":
+        with open(path) as fh:
+            return json.load(fh)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return [{c: _parse_cell(v) for c, v in zip(header, row)} for row in reader]
 
 
 @pytest.fixture

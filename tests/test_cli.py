@@ -1,5 +1,7 @@
 import argparse
+import ast
 import dataclasses
+import importlib
 import json
 import multiprocessing
 import os
@@ -16,11 +18,13 @@ import pytest
 import regimelab
 from regimelab import cli
 from regimelab.cli import _models, build_parser, config_from_args, main
-from regimelab.dataio import load_price_csv, read_table, write_table
+from regimelab.dataio import load_price_csv, write_table
 from regimelab.econometrics import depth_regression
 from regimelab.episodes import detect_episodes
 from regimelab.intermediary import IntermediaryConfig, simulate, to_monthly_table
 from regimelab.nullmodels import MODELS, GbmParams, NullSpec, simulate_path, usable_cpus
+
+from conftest import read_table
 
 
 def write_price_csv(path, closes, start="1990-01-02"):
@@ -857,3 +861,15 @@ class TestCliSurface:
         monkeypatch.delenv("REGIMELAB_DATA_DIR", raising=False)
         cfg = config_from_args(build_parser().parse_args(argv))
         assert dataclasses.asdict(cfg) == {**RUNCONFIG_DEFAULTS, **changed}
+
+    def test_benchmark_imports_exist(self):
+        # benchmark/ calls the library directly, so a name deleted from regimelab fails here first
+        imported = []
+        for path in sorted((Path(__file__).parents[1] / "benchmark").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "regimelab":
+                    imported += [(path.name, node.module, a.name) for a in node.names]
+        assert imported
+        missing = [f"{file}: from {module} import {name}" for file, module, name in imported
+                   if not hasattr(importlib.import_module(module), name)]
+        assert missing == []

@@ -11,9 +11,10 @@ from regimelab.dataio import (
     load_exposure_csv,
     load_monthly_csv,
     load_price_csv,
-    read_table,
     write_table,
 )
+
+from conftest import read_table
 
 
 def write_lines(path, lines):

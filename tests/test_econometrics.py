@@ -135,8 +135,8 @@ class TestHeadlineRegression:
         scaled = headline_regression(manual_panel(3.0 * detr, vol, thr), lags=6)
         assert scaled.b == pytest.approx(base.b, rel=1e-9)
         assert scaled.b_S == pytest.approx(base.b_S, rel=1e-9)
-        assert scaled.a == pytest.approx(3.0 * base.a, rel=1e-9)
-        assert scaled.a_S == pytest.approx(3.0 * base.a_S, rel=1e-9)
+        assert scaled.fit.coef[0] == pytest.approx(3.0 * base.fit.coef[0], rel=1e-9)
+        assert scaled.fit.coef[1] == pytest.approx(3.0 * base.fit.coef[1], rel=1e-9)
 
     def test_lagged_regime_drops_head(self):
         panel = self.synthetic_panel(seed=2)

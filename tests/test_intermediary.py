@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -6,8 +5,6 @@ import pytest
 
 from regimelab.intermediary import (
     IntermediaryConfig,
-    recovery_time_additive,
-    recovery_time_multiplicative,
     simulate,
     to_monthly_table,
 )
@@ -136,36 +133,3 @@ class TestSimulate:
         sim = simulate(IntermediaryConfig(seed=379))
         assert sim.capital.min() <= 0
         assert sim.aggregate.min() > 0 and sim.price.min() > 0
-
-
-class TestRecoveryTimes:
-    def test_additive_arithmetic(self):
-        assert recovery_time_additive(0.5, 1.0, 0.1) == pytest.approx(5.0)
-
-    def test_additive_vanishes_at_full_retention(self):
-        assert recovery_time_additive(1 - 1e-12, 1.0, 0.1) == pytest.approx(0.0, abs=1e-10)
-
-    def test_additive_linear_in_depth(self):
-        shallow = recovery_time_additive(0.8, 3.0, 0.25)
-        deep = recovery_time_additive(0.6, 3.0, 0.25)
-        assert deep == pytest.approx(2.0 * shallow)
-
-    def test_multiplicative_arithmetic(self):
-        assert recovery_time_multiplicative(0.5, 0.1) == pytest.approx(math.log(2) / math.log(1.1))
-        assert recovery_time_multiplicative(0.5, 0.1) == pytest.approx(7.2725, abs=1e-4)
-
-    def test_multiplicative_single_period_inversion(self):
-        g = 0.07
-        assert recovery_time_multiplicative(math.exp(-math.log1p(g)), g) == pytest.approx(1.0)
-
-    def test_multiplicative_compresses_retention_differences(self):
-        # outputs at retention 0.9 vs 0.5: the log formula moves less than the additive one
-        mult_ratio = recovery_time_multiplicative(0.9, 0.1) / recovery_time_multiplicative(0.5, 0.1)
-        add_ratio = recovery_time_additive(0.9, 1, 0.1) / recovery_time_additive(0.5, 1, 0.1)
-        assert mult_ratio < add_ratio
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            recovery_time_additive(1.5, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            recovery_time_multiplicative(0.5, 0.0)

@@ -83,8 +83,7 @@ class TestSpecValidation:
 
     def test_heston_feller_ratio_recorded(self):
         p = HestonParams()
-        assert p.feller_ratio == pytest.approx(2 * 5.0 * 0.0247 / 0.25)
-        assert p.feller_ratio < 1.0  # the calibration sits below the Feller boundary
+        assert 2 * p.kappa * p.vbar / p.xi**2 < 1  # the calibration sits below the Feller boundary
 
     def test_markov_stationary_share(self):
         p = MarkovRsParams()
