@@ -174,7 +174,10 @@ def load_monthly_csv(path: str | Path) -> MonthlyTable:
     the error.
     """
     months, (margin, vix) = _read_csv(path, MONTHLY_HEADER, "M")
-    missing = np.setdiff1d(np.arange(months[0], months[-1] + 1), months)
+    span = np.arange(months[0], months[-1] + 1)
+    present = np.zeros(span.size, dtype=bool)
+    present[(months - months[0]).astype(np.int64)] = True  # months are sorted and unique here
+    missing = span[~present]
     if missing.size:
         raise ValueError(f"{path}: monthly sequence has gaps; missing: {', '.join(missing.astype(str))}")
     return MonthlyTable(months.astype(str).tolist(), margin, vix)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import PricePath
-from .resample import percentile_ci_median
+from .resample import median, percentile_ci_median
 
 BUCKET_EDGES = ((0.05, 0.10), (0.10, 0.20), (0.20, 0.30), (0.30, float("inf")))
 BUCKET_LABELS = ("5-10%", "10-20%", "20-30%", ">30%")
@@ -131,7 +131,7 @@ def _bucket_of(depth: float) -> int | None:
 
 
 def _median_or_none(values: list[float]) -> float | None:
-    return float(np.median(values)) if values else None
+    return median(values) if values else None
 
 
 def _bucket_row(label: str, members: list[Episode], B: int, rng) -> BucketRow:

@@ -86,14 +86,18 @@ void markov_path(const double *z, const double *u, double *out, long n, double d
    segment, which no high closes, is dropped. Each counted episode writes
    its fields to the arrays that are not NULL; returns the count. Episodes
    do not overlap and each spans at least two steps, so the count is at
-   most n / 2. */
+   most n / 2. cp and ct hold c[p] and c[t]: the output arrays might alias c,
+   so the compiler would otherwise load both again after every store. */
 static long scan(const double *c, long n, double delta, int64_t *peaks, int64_t *troughs,
                  int64_t *recs, double *depth, double *tau) {
+    if (n < 2) return 0;  /* and c[0] may not exist */
     long k = 0, p = 0, t = 0;
+    double cp = c[0], ct = c[0];
     for (long i = 1; i < n; i++) {
-        if (c[i] >= c[p]) {
+        double ci = c[i];
+        if (ci >= cp) {
             if (i - p > 1) {
-                double d = 1.0 - c[t] / c[p];
+                double d = 1.0 - ct / cp;
                 if (d >= delta) {
                     if (peaks) {
                         peaks[k] = p;
@@ -106,8 +110,10 @@ static long scan(const double *c, long n, double delta, int64_t *peaks, int64_t 
                 }
             }
             p = i;
-        } else if (i == p + 1 || c[i] < c[t]) {
+            cp = ci;
+        } else if (i == p + 1 || ci < ct) {
             t = i;
+            ct = ci;
         }
     }
     return k;

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import PricePath
-from .resample import derive_rng, stationary_block_cumsum
+from .resample import derive_rng, median, quantile, stationary_block_cumsum
 
 DT = 1.0 / 252.0
 P0 = 100.0
@@ -308,14 +308,13 @@ def _summarise(spec: NullSpec, parts: list, comparator_tau: float) -> NullStudyS
     if not medians:
         raise ValueError("no completed episodes on any accepted path")
     med_arr = np.array(medians)
-    q05, q95 = np.percentile(med_arr, [5.0, 95.0])
     return NullStudySummary(
         model=spec.model,
         n_accepted=n_accepted,
         n_zero_episode=n_zero,
-        median_tau=float(np.median(med_arr)),
-        q05=float(q05),
-        q95=float(q95),
+        median_tau=median(med_arr),
+        q05=quantile(med_arr, 5.0 / 100),
+        q95=quantile(med_arr, 95.0 / 100),
         p_one_sided=float(np.sum(med_arr >= comparator_tau) / n_accepted),
         comparator=comparator_tau,
     )

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resample import quantile
+
 SWEEP_QUANTILES = (0.20, 0.15, 0.10, 0.05)  # tail fractions for the 80/85/90/95th pct sweep
 
 
@@ -20,8 +22,9 @@ def classify(vol: np.ndarray, q: float = 0.10) -> RegimeClassification:
     """Flag observations with volatility strictly above the (1-q) quantile.
 
     The threshold is the empirical quantile with linear interpolation on
-    order statistics (numpy default); comparison is strict, so ties at the
-    threshold are calm.
+    order statistics, np.quantile's default, taken by resample.quantile
+    from a sorted copy; comparison is strict, so ties at the threshold are
+    calm.
     """
     vol = np.asarray(vol, dtype=float)
     if not 0.0 < q < 1.0:
@@ -30,7 +33,7 @@ def classify(vol: np.ndarray, q: float = 0.10) -> RegimeClassification:
         raise ValueError("need at least 10 observations to classify")
     if not np.all(np.isfinite(vol)):
         raise ValueError("volatility series contains non-finite values")
-    threshold = float(np.quantile(vol, 1.0 - q))
+    threshold = quantile(vol, 1.0 - q)
     flags = (vol > threshold).astype(int)
     return RegimeClassification(threshold, flags, int(flags.sum()))
 

@@ -827,6 +827,52 @@ CONFIG_CASES = [
 ]
 
 
+class TestNoMaskedArrays:
+    """No command imports numpy.ma: np.median, np.quantile, np.percentile and
+    np.setdiff1d would each load it, and regimelab never uses masked arrays."""
+
+    SCRIPT = """\
+import sys
+from regimelab import cli
+code = cli.main(sys.argv[1:])
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""
+    SMALL = ["--paths", "6", "--days", "700", "--periods", "240", "--agents", "20", "--bootstrap-b", "50"]
+
+    @staticmethod
+    def inputs(tmp_path):
+        """A monthly margin-debt file and a weekly positioning file."""
+        table = to_monthly_table(simulate(IntermediaryConfig(n_agents=20, T=240, seed=1)))
+        (tmp_path / "monthly.csv").write_text("\n".join(["month,margin_debt,vix"] + [
+            f"{m},{float(a)!r},{float(v)!r}" for m, a, v in zip(table.months, table.margin_debt, table.vol_proxy)
+        ]) + "\n")
+        rng = np.random.default_rng(2)
+        (tmp_path / "cot.csv").write_text("\n".join(["period,exposure,vol"] + [
+            f"{np.datetime64('2006-09-15') + 7 * i},{100.0 + i + rng.random()!r},{15 + 8 * rng.random()!r}"
+            for i in range(120)
+        ]) + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["nulls", "--data-dir", "none", *SMALL[:4]],
+        ["run-all", "--data-dir", "none", *SMALL],
+        ["run-all", "--prices", "{prices}", "--data-dir", "none", "--models", "gbm,block_bootstrap", *SMALL],
+        ["headline", "--monthly", "monthly.csv"],
+        ["cot", "--input", "cot.csv"],
+        ["simulate-intermediary", "--periods", "24", "--agents", "5"],
+    ], ids=["nulls", "run-all-data-free", "run-all-prices", "headline-monthly", "cot-input",
+            "simulate-intermediary"])
+    def test_command_leaves_numpy_ma_out(self, tmp_path, gbm_csv, argv):
+        self.inputs(tmp_path)
+        src = str(Path(regimelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [a.format(prices=gbm_csv) for a in argv]
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", "res"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 def _subparsers():
     action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import percentile_ci_median_reference, stationary_block_indices_reference
-from regimelab.resample import RESAMPLE_BLOCK, derive_rng, percentile_ci_median, stationary_block_cumsum
+from regimelab.resample import (RESAMPLE_BLOCK, derive_rng, median, percentile_ci_median, quantile,
+                                stationary_block_cumsum)
 
 
 def walk_indices(n, mean_block, rng, length=None):
@@ -138,9 +140,10 @@ class TestPercentileCiMedian:
             percentile_ci_median(np.array([1.0, 2.0]), B=B, rng=np.random.default_rng(0))
 
     @staticmethod
-    def _assert_matches_reference(n, B):
+    def _assert_matches_reference(n, B, ties=False):
         # the blocked draws equal one (B, n) draw, and leave the generator where that leaves it
-        values = np.random.default_rng(n).exponential(1.0, n)
+        gen = np.random.default_rng(n)
+        values = gen.integers(0, 4, n).astype(float) if ties else gen.exponential(1.0, n)
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert percentile_ci_median(values, B, rng) == percentile_ci_median_reference(values, B, ref_rng)
@@ -158,6 +161,23 @@ class TestPercentileCiMedian:
         rows = max(1, RESAMPLE_BLOCK // n)
         self._assert_matches_reference(n, max(1, rows + extra_rows))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 69, 70])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_one_shot_reference_at_odd_and_even_n(self, n, ties):
+        # each resample's median is its sorted row's middle value, or its two middle values halved;
+        # B is two blocks of rows and three rows over
+        self._assert_matches_reference(n, 2 * max(1, RESAMPLE_BLOCK // n) + 3, ties)
+
+    def test_nan_value_matches_reference(self):
+        # one NaN in 70: no sorted row holds it in the middle, but each row that drew it has a NaN median
+        x = np.random.default_rng(4).exponential(1.0, 70)
+        x[10] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = percentile_ci_median_reference(x, 500, np.random.default_rng(0))
+        got = percentile_ci_median(x, 500, np.random.default_rng(0))
+        assert np.isnan(want).all() and np.isnan(got).all()
+
     def test_memory_does_not_grow_with_B(self):
         # one (B, n) resample matrix would take three 112 MB temporaries here
         B = 200_000
@@ -169,6 +189,54 @@ class TestPercentileCiMedian:
         finally:
             tracemalloc.stop()
         assert peak < 8 * B + 4_000_000
+
+
+def bits(x):
+    """The float64 bit pattern of x, so that -0.0 and 0.0 differ."""
+    return np.float64(x).view(np.int64)
+
+
+class TestMedianQuantileAgainstNumpy:
+    """median and quantile equal np.median, np.quantile and np.percentile bit
+    for bit, at every q regimelab asks for and at the ends."""
+
+    QS = (0.0, 1.0, 0.9, 0.95, 1 - 0.1, 5 / 100, 95 / 100, 2.500000000000002 / 100)
+    PS = (5.0, 95.0, 2.500000000000002, 100.0 - 2.500000000000002)  # np.percentile's callers, in percent
+
+    @staticmethod
+    def draw(kind, rng):
+        n = int(rng.integers(1, 201))
+        if kind == "normal":
+            return rng.standard_normal(n)
+        if kind == "ties":  # integer values, so most arrays repeat some
+            return rng.integers(-5, 6, n).astype(float)
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 5, n)  # ten orders of magnitude
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "magnitudes"])
+    def test_equal_numpy(self, kind):
+        rng = np.random.default_rng(["normal", "ties", "magnitudes"].index(kind))
+        for _ in range(3_400):
+            x = self.draw(kind, rng)
+            assert bits(median(x)) == bits(np.median(x))
+            assert [bits(quantile(x, q)) for q in self.QS] == list(bits(np.quantile(x, self.QS)))
+            assert [bits(quantile(x, p / 100)) for p in self.PS] == list(bits(np.percentile(x, self.PS)))
+
+    def test_scalar_q_and_lists(self):
+        # regime.classify asks for one quantile at a float q; the helpers take lists too
+        x = [3.0, 1.0, 2.0, 10.0]
+        assert quantile(x, 1.0 - 0.10) == float(np.quantile(x, 1.0 - 0.10))
+        assert median(x) == 2.5 and median([4.0]) == 4.0
+
+    def test_nan_gives_nan(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            x = rng.standard_normal(int(rng.integers(1, 60)))
+            x[rng.integers(0, x.size, int(rng.integers(1, x.size + 1)))] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want_median, want_q = np.median(x), np.quantile(x, self.QS)
+            assert np.isnan(want_median) and np.isnan(median(x))
+            assert np.isnan(want_q).all() and all(np.isnan(quantile(x, q)) for q in self.QS)
 
 
 class TestDeriveRng:
