@@ -237,6 +237,21 @@ def _json_cell(v):
     return v
 
 
+def column_rows(**columns) -> list[dict]:
+    """One row dict per index of equal-length columns, keys in argument order.
+
+    An array column is taken through its tolist(), so rows hold Python floats
+    and ints, which write_table writes as it would the array's own values;
+    columns of unequal length raise ValueError.
+    """
+    rows = [{} for _ in range(len(next(iter(columns.values()))))]
+    for name, column in columns.items():  # column by column: one list alive at a time
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        for row, value in zip(rows, values, strict=True):
+            row[name] = value
+    return rows
+
+
 def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None:
     """Write result records with a deterministic column order.
 

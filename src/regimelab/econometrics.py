@@ -4,18 +4,30 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import MonthlyPanel, MonthlyTable, build_panel
+from .dataio import MonthlyPanel, MonthlyTable, build_panel, column_rows
 from .episodes import Episode
-from .regime import SWEEP_QUANTILES, lag_flags
+from .regime import lag_flags
 
 HEADLINE_NAMES = ("a", "a_S", "b", "b_S")
 
-SUBSAMPLE_SPLITS = (("pre2008", None, "2007-12"), ("post2008", "2009-01", None))
-DETREND_SWEEP = (("log_linear", None), ("linear", None), ("ema", 12.0))
+# The robustness table: (sweep, cell, tail fraction q or None for the panel's own, detrend
+# scheme, its parameter, first month, last month); a None month leaves that end open.
+SWEEP_CELLS = (
+    ("threshold", "pct80", 0.20, "log_linear", None, None, None),
+    ("threshold", "pct85", 0.15, "log_linear", None, None, None),
+    ("threshold", "pct90", 0.10, "log_linear", None, None, None),
+    ("threshold", "pct95", 0.05, "log_linear", None, None, None),
+    ("detrend", "log_linear", None, "log_linear", None, None, None),
+    ("detrend", "linear", None, "linear", None, None, None),
+    ("detrend", "ema12", None, "ema", 12.0, None, None),
+    ("subsample", "pre2008", None, "log_linear", None, None, "2007-12"),
+    ("subsample", "post2008", None, "log_linear", None, "2009-01", None),
+)
 
 
 def _normal_p(t: float) -> float:
@@ -37,10 +49,7 @@ class RegressionFit:
     lags: int
 
     def rows(self) -> list[dict]:
-        return [
-            {"coef": n, "estimate": float(b), "hac_se": float(s), "t": float(t), "p": float(p)}
-            for n, b, s, t, p in zip(self.names, self.coef, self.se, self.t, self.p)
-        ]
+        return column_rows(coef=self.names, estimate=self.coef, hac_se=self.se, t=self.t, p=self.p)
 
 
 def ols_hac(
@@ -174,55 +183,31 @@ def depth_regression(episodes: list[Episode], lags: int = 6) -> RegressionFit:
 _EMPTY_CELL = dict.fromkeys(("b", "b_S", "p_bS", "stress_slope", "n_stress"))
 
 
-def _headline_cell(months, margin, vol, q, scheme, param, lags) -> dict:
-    cell = {**_EMPTY_CELL, "status": "ok"}
-    try:
-        panel = build_panel(MonthlyTable(list(months), margin, vol), q, scheme, param)
-        hf = headline_regression(panel, lags=lags)
-    except ValueError as exc:
-        cell["status"] = f"failed: {exc}"
-        return cell
-    cell.update(
-        b=hf.b, b_S=hf.b_S, p_bS=hf.wald_p,
-        stress_slope=hf.stress_slope["estimate"], n_stress=hf.n_stress,
-    )
-    return cell
+def robustness_sweep(panel: MonthlyPanel, lags: int = 6) -> list[dict]:
+    """Re-run the headline regression on each cell of SWEEP_CELLS.
 
-
-def robustness_sweep(
-    panel: MonthlyPanel,
-    thresholds: tuple[float, ...] = SWEEP_QUANTILES,
-    detrend_schemes: tuple[tuple[str, float | None], ...] = DETREND_SWEEP,
-    subsample_splits: tuple[tuple[str, str | None, str | None], ...] = SUBSAMPLE_SPLITS,
-    lags: int = 6,
-) -> list[dict]:
-    """Re-run the headline regression across thresholds, detrenders, and sub-samples.
-
-    Sub-samples are re-detrended and re-classified on their own window.
-    Cells that fail identification are reported with absent values.
+    Each cell is re-detrended and re-classified on its own months. A
+    sub-sample under 24 months is not fitted; cells that fail identification
+    are reported with absent values.
     """
     months = list(panel.months)
     margin = np.asarray(panel.margin_debt, dtype=float)
     vol = np.asarray(panel.vol_proxy, dtype=float)
     rows: list[dict] = []
-    for q in thresholds:
-        cell = _headline_cell(months, margin, vol, q, "log_linear", None, lags)
-        rows.append({"sweep": "threshold", "cell": f"pct{round((1 - q) * 100)}", **cell})
-    for scheme, param in detrend_schemes:
-        cell = _headline_cell(months, margin, vol, panel.q, scheme, param, lags)
-        label = scheme if param is None else f"{scheme}{round(param)}"
-        rows.append({"sweep": "detrend", "cell": label, **cell})
-    for label, first, last in subsample_splits:
-        sel = [
-            i for i, m in enumerate(months)
-            if (first is None or m >= first) and (last is None or m <= last)
-        ]
-        if len(sel) < 24:
-            rows.append({"sweep": "subsample", "cell": label, **_EMPTY_CELL,
-                         "status": "failed: sub-sample too short"})
-            continue
-        cell = _headline_cell(
-            [months[i] for i in sel], margin[sel], vol[sel], panel.q, "log_linear", None, lags
-        )
-        rows.append({"sweep": "subsample", "cell": label, **cell})
+    for sweep, label, q, scheme, param, first, last in SWEEP_CELLS:
+        lo = 0 if first is None else bisect_left(months, first)  # months are sorted
+        hi = len(months) if last is None else bisect_right(months, last)
+        row = {"sweep": sweep, "cell": label, **_EMPTY_CELL, "status": "ok"}
+        if sweep == "subsample" and hi - lo < 24:
+            row["status"] = "failed: sub-sample too short"
+        else:
+            try:
+                table = MonthlyTable(months[lo:hi], margin[lo:hi], vol[lo:hi])
+                hf = headline_regression(build_panel(table, panel.q if q is None else q, scheme, param), lags=lags)
+            except ValueError as exc:
+                row["status"] = f"failed: {exc}"
+            else:
+                row.update(b=hf.b, b_S=hf.b_S, p_bS=hf.wald_p, stress_slope=hf.stress_slope["estimate"],
+                           n_stress=hf.n_stress)
+        rows.append(row)
     return rows

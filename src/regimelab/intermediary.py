@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import MonthlyTable
+from .dataio import MonthlyTable, column_rows
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,8 @@ class SimulatedPanel:
         return self.capital / (self.config.var_k * self.vol[:, None])
 
     def rows(self) -> list[dict]:
-        return [
-            {
-                "t": t,
-                "vol": float(self.vol[t]),
-                "regime": int(self.regime[t]),
-                "aggregate_exposure": float(self.aggregate[t]),
-                "price": float(self.price[t]),
-            }
-            for t in range(self.vol.size)
-        ]
+        return column_rows(t=range(self.vol.size), vol=self.vol, regime=self.regime,
+                           aggregate_exposure=self.aggregate, price=self.price)
 
 
 def simulate(config: IntermediaryConfig) -> SimulatedPanel:
@@ -119,10 +111,8 @@ def simulate(config: IntermediaryConfig) -> SimulatedPanel:
 
     aggregate = (capital / config.var_k).sum(axis=1) / vol
 
-    price = np.empty(T)
-    price[0] = 100.0
-    for t in range(1, T):
-        price[t] = price[t - 1] * (1.0 + config.impact * (aggregate[t] - aggregate[t - 1]) / aggregate[t - 1])
+    # one ordered product, step by step as a loop would take it
+    price = np.cumprod(np.concatenate(([100.0], 1.0 + config.impact * np.diff(aggregate) / aggregate[:-1])))
 
     agg_ok = np.isfinite(aggregate) & (aggregate > 0)
     bad = np.flatnonzero(~(agg_ok & np.isfinite(price) & (price > 0)))

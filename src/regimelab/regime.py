@@ -8,8 +8,6 @@ import numpy as np
 
 from .resample import quantile
 
-SWEEP_QUANTILES = (0.20, 0.15, 0.10, 0.05)  # tail fractions for the 80/85/90/95th pct sweep
-
 
 @dataclass(frozen=True)
 class RegimeClassification:

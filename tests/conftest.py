@@ -28,6 +28,16 @@ def kernel_cache(tmp_path_factory):
         os.environ["XDG_CACHE_HOME"] = saved
 
 
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """This process's environment, with the imported regimelab's source directory
+    first on PYTHONPATH, and `extra` set: for a subprocess that runs regimelab."""
+    import regimelab
+
+    src = str(Path(regimelab.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
+
+
 def make_price_path(closes, start="2000-01-03"):
     """PricePath with sequential synthetic dates."""
     from regimelab.dataio import PricePath

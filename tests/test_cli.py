@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import regimelab
 from regimelab import cli
 from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import load_price_csv, write_table
@@ -24,7 +23,7 @@ from regimelab.episodes import detect_episodes
 from regimelab.intermediary import IntermediaryConfig, simulate, to_monthly_table
 from regimelab.nullmodels import MODELS, GbmParams, NullSpec, simulate_path, usable_cpus
 
-from conftest import read_table
+from conftest import read_table, subprocess_env
 
 
 def write_price_csv(path, closes, start="1990-01-02"):
@@ -312,8 +311,7 @@ sys.exit(cli.main(sys.argv[1:]))
     @pytest.mark.parametrize("command", ["nulls", "run-all"])
     def test_dead_worker_fails_the_command(self, tmp_path, command):
         # a pool that waits for the lost slice forever is killed at the timeout, and the test fails
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = subprocess_env()
         proc = subprocess.Popen(
             [sys.executable, "-c", self.DYING_WORKER, command, "--models", "gbm", "--paths", "8",
              "--days", "300", "--out", "res", "--data-dir", "none"],
@@ -357,8 +355,7 @@ sys.exit(cli.main(sys.argv[1:]))
         started a slice, then call kill(pid); the seconds until the command ended."""
         # 5,000-path Heston slices of 19,170 days run for about 5 s; a worker
         # that survives the signal finishes its slice before the command can end
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = subprocess_env()
         proc = subprocess.Popen(
             [sys.executable, "-c", self.BUSY_WORKERS, command, "--models", "heston", "--paths", "40000",
              "--days", "19170", "--out", "res", "--data-dir", "none"],
@@ -451,8 +448,7 @@ sys.exit(cli.main(sys.argv[1:]))
     def test_pool_and_serial_same_bytes(self, tmp_path):
         # stdout goes to a file, so it is block-buffered: a forked worker that
         # inherits an unflushed buffer (the block_bootstrap note) would print it again
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         pooled, pinned, workers = self.pooled_and_pinned(
             tmp_path, ["nulls", "--paths", "12", "--days", "700", "--data-dir", "none"], env)
@@ -475,9 +471,7 @@ sys.exit(cli.main(sys.argv[1:]))
         # with workers, run-all starts the null studies once it has parsed the price
         # file, and when pinned it runs them at the nulls step; unbuffered, the shared
         # file shows the order of the writes, and a failure is reported where its step runs
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               "PYTHONUNBUFFERED": "1"}
+        env = subprocess_env(PYTHONUNBUFFERED="1")
         lines = gbm_csv.read_bytes().splitlines(keepends=True)
         if damage == "unsorted":
             lines[200], lines[201] = lines[201], lines[200]
@@ -667,6 +661,25 @@ class TestRunAll:
         assert rc == 0
         rows = read_table(out / "headline.json")
         assert rows[0]["coef"] == "a"
+
+    @pytest.mark.parametrize("with_prices", [True, False], ids=["prices", "data-free"])
+    def test_every_table_reads_back_equal_in_csv_and_json(self, tmp_path, gbm_csv, with_prices):
+        prices = ["--prices", str(gbm_csv)] if with_prices else []
+        tables = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            rc = main(["run-all", *prices, "--data-dir", str(tmp_path / "missing"), "--out", str(out),
+                       "--format", fmt, "--models", "gbm,block_bootstrap", "--paths", "4", "--days", "1000",
+                       "--periods", "240", "--agents", "20", "--bootstrap-b", "50"])
+            assert rc == 0
+            tables[fmt] = {p.stem: read_table(p) for p in sorted(out.iterdir())}
+        assert len(tables["csv"]) == (10 if with_prices else 4)
+        assert list(tables["csv"]) == list(tables["json"])
+        for stem, rows in tables["csv"].items():
+            assert len(rows) == len(tables["json"][stem]), stem
+            for i, (a, b) in enumerate(zip(rows, tables["json"][stem])):
+                assert list(a) == list(b), (stem, i)
+                assert all(x == y or x != x and y != y for x, y in zip(a.values(), b.values())), (stem, i)
 
     def test_failed_subcommand_propagates(self, tmp_path, capsys):
         rc = main(["run-all", "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "r"),
@@ -864,13 +877,37 @@ sys.exit(code)
             "simulate-intermediary"])
     def test_command_leaves_numpy_ma_out(self, tmp_path, gbm_csv, argv):
         self.inputs(tmp_path)
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = subprocess_env()
         argv = [a.format(prices=gbm_csv) for a in argv]
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv, "--out", "res"], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
+
+
+class TestBenchmarkReplay:
+    @pytest.fixture
+    def benchmark_modules(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "benchmark"))
+        return importlib.import_module("replay"), importlib.import_module("workloads")
+
+    @pytest.mark.parametrize("name", ["datafree_runall", "prices_runall", "short_horizon_nulls"])
+    def test_replay_writes_the_cli_tables(self, tmp_path, benchmark_modules, name):
+        # benchmark/replay.py calls the library as the CLI does; a change to those
+        # functions that breaks the traced benchmark run fails here first
+        replay, workloads = benchmark_modules
+        workload = workloads.TINY[name]
+        data = workloads.generate_inputs(workload, 1, tmp_path / "data").data_dir
+        argv = [*workload.argv, "--data-dir", str(data), "--seed", "1", "--out"]
+        assert main([*argv, str(tmp_path / "cli")]) == 0
+        if name == "prices_runall":  # the replay passes r3 the censored episode too
+            with pytest.warns(UserWarning, match="excluded 1 censored episodes"):
+                replay.replay([*argv, str(tmp_path / "replay")], "test")
+        else:
+            replay.replay([*argv, str(tmp_path / "replay")], "test")
+        cli_tables = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+        assert sorted(cli_tables) == sorted(f"{stem}.csv" for stem in workload.tables)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "replay").iterdir()} == cli_tables
 
 
 def _subparsers():

@@ -92,8 +92,7 @@ class TestHeadlineTable:
         assert 0.03 <= fit.wald_p <= 0.20
 
     def test_threshold_sweep_range(self, monthly):
-        rows = robustness_sweep(build_panel(monthly, q=0.10),
-                                detrend_schemes=(), subsample_splits=())
+        rows = [r for r in robustness_sweep(build_panel(monthly, q=0.10)) if r["sweep"] == "threshold"]
         vals = [r["b_S"] for r in rows if r["status"] == "ok"]
         assert len(vals) == 4
         assert all(-0.345 - 0.05 <= v <= -0.118 + 0.05 for v in vals)

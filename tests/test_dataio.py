@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from regimelab.dataio import (
     MonthlyPanel,
     build_panel,
+    column_rows,
     load_exposure_csv,
     load_monthly_csv,
     load_price_csv,
@@ -164,6 +165,14 @@ class TestWriteTable:
         write_table(rows, pj, format="json")
         back = read_table(pj)
         assert back == [{"a": 1.5, "b": "x"}, {"a": 2.0, "b": "y"}]
+
+    def test_column_rows(self):
+        rows = column_rows(month=["2001-01", "2001-02"], level=np.array([1.5, 2.0]), flag=np.array([0, 1]))
+        assert rows == [{"month": "2001-01", "level": 1.5, "flag": 0}, {"month": "2001-02", "level": 2.0, "flag": 1}]
+        assert [list(r) for r in rows] == [["month", "level", "flag"]] * 2
+        assert [type(v) for v in rows[1].values()] == [str, float, int]
+        with pytest.raises(ValueError, match="longer than"):
+            column_rows(month=["2001-01"], level=np.array([1.5, 2.0]))
 
     def test_headline_schema_golden(self, tmp_path):
         # fixed column schema for the headline result table

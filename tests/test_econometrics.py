@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from regimelab import econometrics
 from regimelab.dataio import MonthlyPanel, build_panel
 from regimelab.econometrics import (
     depth_regression,
@@ -201,9 +202,11 @@ class TestDepthRegression:
 
 
 class TestRobustnessSweep:
-    def test_single_threshold_matches_headline(self):
+    def test_single_threshold_matches_headline(self, monkeypatch):
+        monkeypatch.setattr(econometrics, "SWEEP_CELLS",
+                            (("threshold", "pct90", 0.10, "log_linear", None, None, None),))
         panel = TestHeadlineRegression.synthetic_panel(seed=7)
-        rows = robustness_sweep(panel, thresholds=(0.10,), detrend_schemes=(), subsample_splits=())
+        rows = robustness_sweep(panel)
         assert len(rows) == 1
         direct = headline_regression(panel, lags=6)
         assert rows[0]["b_S"] == pytest.approx(direct.b_S, rel=1e-12)
@@ -211,13 +214,14 @@ class TestRobustnessSweep:
 
     def test_synthetic_sign_stable_across_thresholds(self):
         panel = TestHeadlineRegression.synthetic_panel(seed=7)
-        rows = robustness_sweep(panel, detrend_schemes=(), subsample_splits=())
+        rows = [r for r in robustness_sweep(panel) if r["sweep"] == "threshold"]
         assert len(rows) == 4
         assert all(r["status"] == "ok" and r["b_S"] < 0 for r in rows)
 
     def test_failed_cells_absent_not_fatal(self):
         # vol ties everywhere: every quantile threshold equals the common value,
         # the strict comparison flags nothing, and each cell fails identification
+        # (post2008, empty for these 2001-2004 months, is too short to fit)
         rng = np.random.default_rng(31)
         months = [f"{2001 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(48)]
         panel = MonthlyPanel(
@@ -229,15 +233,17 @@ class TestRobustnessSweep:
             threshold=20.0,
             q=0.10,
         )
-        rows = robustness_sweep(panel, detrend_schemes=(), subsample_splits=())
+        rows = robustness_sweep(panel)
+        assert len(rows) == 9
         assert all(r["status"].startswith("failed") and r["b_S"] is None for r in rows)
 
     @pytest.mark.parametrize("last,status", [("2001-11", "failed: sub-sample too short"), ("2001-12", "ok")])
-    def test_subsample_below_24_months_not_fitted(self, last, status):
+    def test_subsample_below_24_months_not_fitted(self, monkeypatch, last, status):
         # 2000-01..2001-11 is 23 months, one short of the 24 a sub-sample needs
+        monkeypatch.setattr(econometrics, "SWEEP_CELLS",
+                            (("subsample", "short", None, "log_linear", None, "2000-01", last),))
         panel = TestHeadlineRegression.synthetic_panel(seed=7)
-        rows = robustness_sweep(panel, thresholds=(), detrend_schemes=(),
-                                subsample_splits=(("short", "2000-01", last),))
+        rows = robustness_sweep(panel)
         assert [(r["sweep"], r["cell"], r["status"]) for r in rows] == [("subsample", "short", status)]
         if status != "ok":
             assert all(rows[0][k] is None for k in ("b", "b_S", "p_bS", "stress_slope", "n_stress"))

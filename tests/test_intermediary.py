@@ -93,6 +93,18 @@ class TestSimulate:
         assert np.array_equal(a.aggregate, b.aggregate)
         assert np.array_equal(a.price, b.price)
 
+    @pytest.mark.parametrize("kw", [{}, {"impact": 0.3}, {"T": 780}], ids=["default", "impact-0.3", "T-780"])
+    def test_price_path_equals_the_step_loop(self, kw):
+        # the price path is one ordered product; the loop it replaced is the reference, bit for bit
+        for seed in range(20):
+            sim = simulate(IntermediaryConfig(seed=seed, **kw))
+            a, impact = sim.aggregate, sim.config.impact
+            price = np.empty(a.size)
+            price[0] = 100.0
+            for t in range(1, a.size):
+                price[t] = price[t - 1] * (1.0 + impact * (a[t] - a[t - 1]) / a[t - 1])
+            assert sim.price.tobytes() == price.tobytes()
+
     def test_rows_schema(self):
         sim = simulate(IntermediaryConfig(T=10, seed=1))
         rows = sim.rows()

@@ -8,16 +8,15 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import regimelab
 from regimelab import kernels, nullmodels
 
+from conftest import subprocess_env
 from oracles import (
     asym_vol_steps_reference,
     block_walk_reference,
@@ -794,8 +793,7 @@ sys.exit(code)""")
 
     @staticmethod
     def run_cli(tmp_path, *argv, workers=1, script=ON_WORKERS, **env):
-        src = str(Path(regimelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path / "cache"), **env}
+        env = subprocess_env(XDG_CACHE_HOME=str(tmp_path / "cache"), **env)
         return subprocess.run([sys.executable, "-c", script, str(workers), *argv],
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
 
