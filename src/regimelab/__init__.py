@@ -46,6 +46,6 @@ from .nullmodels import (
 from .regime import RegimeClassification, classify, lag_flags
 from .resample import derive_rng, percentile_ci_median
 from .survival import CoxFit, cox_fit
-from .timeseries import DetrendFit, detrend, log_returns, realized_vol
+from .timeseries import detrend, log_returns, realized_vol
 
 __version__ = "0.1.0"

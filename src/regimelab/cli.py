@@ -3,9 +3,9 @@
 Commands: headline, episodes, r3, nulls, cot, simulate-intermediary, run-all.
 Inputs default to <data-dir>/sp500_daily.csv and <data-dir>/finra_vix_monthly.csv,
 where the data directory comes from --data-dir, the REGIMELAB_DATA_DIR
-environment variable, or ./data. All outputs are deterministic given flags,
-seed, and inputs. A command's tables are written only once all of its
-computations have succeeded; run-all writes each sub-command's as it succeeds.
+environment variable (unless empty), or ./data. All outputs are deterministic
+given flags, seed, and inputs. A command's tables are written only once all of
+its computations have succeeded; run-all writes each sub-command's as it succeeds.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .episodes import (
     episodes_to_rows,
 )
 from .intermediary import IntermediaryConfig, simulate, to_monthly_table
-from .nullmodels import (
-    DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, null_studies, run_null_studies, usable_cpus,
-)
+from .nullmodels import DEFAULT_PARAMS, MODELS, BlockBootstrapParams, NullSpec, null_studies, run_null_studies
 from .regime import classify
 from .survival import cox_fit
 from .timeseries import log_returns, realized_vol
@@ -235,7 +233,7 @@ def cmd_nulls(cfg: RunConfig, collect=None) -> Tables:
     if len(specs) < len(cfg.models):
         print(f"note: block_bootstrap skipped, price CSV not found ({cfg.price_path()})")
     rows = []
-    for summary in collect() if collect else run_null_studies(specs, cfg.comparator, usable_cpus()):
+    for summary in collect() if collect else run_null_studies(specs, cfg.comparator):
         rows.append(summary.row())
         print(
             f"{summary.model}: median tau {summary.median_tau:.3f} "
@@ -299,7 +297,7 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
             # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
             with suppress(ValueError, OSError):
                 commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(null_studies(
-                    _null_specs(cfg), cfg.comparator, usable_cpus(), overlapped="episodes" in steps)))
+                    _null_specs(cfg), cfg.comparator, overlapped="episodes" in steps)))
         failures += sum(_run(step, command, cfg) for step, command in commands.items())
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**vars(args))
     if cfg.data_dir is None:
-        cfg.data_dir = Path(os.environ.get("REGIMELAB_DATA_DIR", "data"))
+        cfg.data_dir = Path(os.environ.get("REGIMELAB_DATA_DIR") or "data")  # set but empty counts as unset
     return cfg
 
 

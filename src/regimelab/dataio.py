@@ -200,13 +200,13 @@ def build_panel(
     detrend_param: float | None = None,
 ) -> MonthlyPanel:
     """Attach detrended level and stress flags to a raw monthly table."""
-    fit = timeseries.detrend(table.margin_debt, detrend_scheme, detrend_param)
+    detrended = timeseries.detrend(table.margin_debt, detrend_scheme, detrend_param)
     cls = regime_mod.classify(table.vol_proxy, q)
     return MonthlyPanel(
         months=list(table.months),
         margin_debt=np.asarray(table.margin_debt, dtype=float),
         vol_proxy=np.asarray(table.vol_proxy, dtype=float),
-        detrended=fit.detrended,
+        detrended=detrended,
         regime=cls.flags,
         threshold=cls.threshold,
         q=q,

@@ -46,7 +46,6 @@ class RegressionFit:
     t: np.ndarray
     p: np.ndarray
     nobs: int
-    lags: int
 
     def rows(self) -> list[dict]:
         return column_rows(coef=self.names, estimate=self.coef, hac_se=self.se, t=self.t, p=self.p)
@@ -101,7 +100,7 @@ def ols_hac(
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
     p = np.array([_normal_p(v) for v in t])
-    return RegressionFit(tuple(names), beta, cov, se, t, p, n, lags)
+    return RegressionFit(tuple(names), beta, cov, se, t, p, n)
 
 
 @dataclass(frozen=True)

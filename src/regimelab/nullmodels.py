@@ -328,12 +328,13 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1,
-                 overlapped: bool = False):
+def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, overlapped: bool = False):
     """Start the studies; yield a function that waits for them and returns
     run_null_study's summary of each spec, in order.
 
-    The studies run on at most `workers` processes. A study set under
+    The studies run on one process per usable CPU (usable_cpus(), which CPU
+    affinity such as `taskset` or os.sched_setaffinity limits), but on no
+    more processes than the largest study has paths. A study set under
     STEPS_PER_PROCESS path steps runs in-process, as there a second process
     costs more CPU than it saves in wall time, unless `overlapped`: the caller
     works while the pool runs, which the threshold was not measured on. Each
@@ -347,12 +348,10 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
     """
     if not 0 < comparator_tau < math.inf:
         raise ValueError(f"comparator must be positive and finite, got {comparator_tau}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     total_steps = sum(s.n_paths * (s.n_days - 1) for s in specs)  # the specs share one pool
     # no fork (Windows): run in-process
     pooled = hasattr(os, "fork") and (overlapped or total_steps >= STEPS_PER_PROCESS)
-    processes = min(workers, max((s.n_paths for s in specs), default=1)) if pooled else 1
+    processes = min(usable_cpus(), max((s.n_paths for s in specs), default=1)) if pooled else 1
     k = SLICES_PER_WORKER * processes
 
     def summaries(parts: list) -> list[NullStudySummary]:
@@ -393,22 +392,20 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, workers: i
         pool.shutdown(cancel_futures=True)
 
 
-def run_null_studies(
-    specs: list[NullSpec], comparator_tau: float = 1.35, workers: int = 1
-) -> list[NullStudySummary]:
+def run_null_studies(specs: list[NullSpec], comparator_tau: float = 1.35) -> list[NullStudySummary]:
     """run_null_study's summary of each spec, in order (see null_studies)."""
-    with null_studies(specs, comparator_tau, workers) as collect:
+    with null_studies(specs, comparator_tau) as collect:
         return collect()
 
 
-def run_null_study(spec: NullSpec, comparator_tau: float = 1.35, workers: int = 1) -> NullStudySummary:
+def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySummary:
     """Distribution of per-path median duration ratios against a comparator.
 
     For each accepted path, episodes are detected at spec.delta and the
     median per-episode duration ratio is taken. p_one_sided is a share of
     all accepted paths (one with no completed episode never reaches the
     comparator); median_tau, q05 and q95 use only paths with an episode.
-    The paths run on `workers` processes (see run_null_studies); the
-    summary is the same for every worker count.
+    The paths run on a pool sized as in null_studies, one process per usable
+    CPU; the summary is the same for every process count.
     """
-    return run_null_studies([spec], comparator_tau, workers)[0]
+    return run_null_studies([spec], comparator_tau)[0]

@@ -13,7 +13,6 @@ from .resample import quantile
 class RegimeClassification:
     threshold: float
     flags: np.ndarray  # int {0,1}
-    n_stress: int
 
 
 def classify(vol: np.ndarray, q: float = 0.10) -> RegimeClassification:
@@ -32,8 +31,7 @@ def classify(vol: np.ndarray, q: float = 0.10) -> RegimeClassification:
     if not np.all(np.isfinite(vol)):
         raise ValueError("volatility series contains non-finite values")
     threshold = quantile(vol, 1.0 - q)
-    flags = (vol > threshold).astype(int)
-    return RegimeClassification(threshold, flags, int(flags.sum()))
+    return RegimeClassification(threshold, (vol > threshold).astype(int))
 
 
 def lag_flags(flags: np.ndarray, k: int) -> np.ndarray:

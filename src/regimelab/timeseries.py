@@ -3,25 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 TRADING_DAYS_PER_YEAR = 252
 
 DETREND_SCHEMES = ("log_linear", "linear", "ema")
-
-
-@dataclass(frozen=True)
-class DetrendFit:
-    """Fitted secular trend and the trend-relative (detrended) series.
-
-    params is (intercept, slope) for the trend fits, or the half-life in
-    months for the EMA scheme.
-    """
-
-    params: tuple[float, float] | float
-    detrended: np.ndarray
 
 
 def log_returns(path) -> np.ndarray:
@@ -54,7 +41,7 @@ def _ols_line(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(intercept), float(slope)
 
 
-def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None = None) -> DetrendFit:
+def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None = None) -> np.ndarray:
     """Remove a secular trend, returning the trend-relative series.
 
     log_linear: OLS of ln(y) on time, detrended = y / exp(fit).
@@ -74,14 +61,14 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
             raise ValueError("log_linear detrending requires a positive series")
         intercept, slope = _ols_line(t, np.log(y))
         trend = np.exp(intercept + slope * t)
-        return DetrendFit((intercept, slope), y / trend)
+        return y / trend
 
     if scheme == "linear":
         intercept, slope = _ols_line(t, y)
         trend = intercept + slope * t
         if np.any(trend <= 0):
             raise ValueError("linear fitted trend crosses zero; detrending undefined")
-        return DetrendFit((intercept, slope), y / trend)
+        return y / trend
 
     # ema
     half_life = 12.0 if param is None else float(param)
@@ -94,4 +81,4 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
     ema[0] = y[0]
     for i in range(1, y.size):
         ema[i] = (1.0 - alpha) * ema[i - 1] + alpha * y[i]
-    return DetrendFit(half_life, y / ema)
+    return y / ema

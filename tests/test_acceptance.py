@@ -30,7 +30,6 @@ from regimelab.nullmodels import (
     NullSpec,
     run_null_study,
     simulate_path,
-    usable_cpus,
 )
 from regimelab.survival import cox_fit
 
@@ -42,12 +41,11 @@ from oracles import (
     white_sandwich,
 )
 
-DATA_DIR = Path(os.environ.get("REGIMELAB_DATA_DIR", "data"))
+DATA_DIR = Path(os.environ.get("REGIMELAB_DATA_DIR") or "data")  # empty counts as unset, as in the CLI
 PRICES = DATA_DIR / "sp500_daily.csv"
 MONTHLY = DATA_DIR / "finra_vix_monthly.csv"
 
 STUDY_KW = dict(n_days=19_170, n_paths=1_000, seed=1, delta=0.05)
-WORKERS = usable_cpus()  # the summaries are the same for every worker count
 
 
 def report(criterion, ok, detail):
@@ -57,7 +55,7 @@ def report(criterion, ok, detail):
 
 class TestCriterion1Gbm:
     def test_gbm_null_study(self):
-        s = run_null_study(NullSpec("gbm", GbmParams(), **STUDY_KW), 1.35, WORKERS)
+        s = run_null_study(NullSpec("gbm", GbmParams(), **STUDY_KW), 1.35)
         ok = (
             0.95 <= s.median_tau <= 1.05
             and abs(s.q05 - 0.81) <= 0.10
@@ -70,15 +68,15 @@ class TestCriterion1Gbm:
 
 class TestCriterion2MarkovAsym:
     def test_markov_and_asym_vol_studies(self):
-        mk = run_null_study(NullSpec("markov_rs", MarkovRsParams(), **STUDY_KW), 1.35, WORKERS)
-        av = run_null_study(NullSpec("asym_vol", AsymVolParams(), **STUDY_KW), 1.35, WORKERS)
+        mk = run_null_study(NullSpec("markov_rs", MarkovRsParams(), **STUDY_KW), 1.35)
+        av = run_null_study(NullSpec("asym_vol", AsymVolParams(), **STUDY_KW), 1.35)
         ok = 1.07 <= mk.median_tau <= 1.27 and 0.98 <= av.median_tau <= 1.12
         report(2, ok, f"markov_rs median {mk.median_tau:.3f}, asym_vol median {av.median_tau:.3f}")
 
 
 class TestCriterion3Heston:
     def test_heston_study(self):
-        s = run_null_study(NullSpec("heston", HestonParams(), **STUDY_KW), 1.35, WORKERS)
+        s = run_null_study(NullSpec("heston", HestonParams(), **STUDY_KW), 1.35)
         rejected = 1_000 - s.n_accepted
         ok = 1.10 <= s.median_tau <= 1.90 and rejected > 0
         report(3, ok, f"heston median {s.median_tau:.3f}, rejected {rejected}/1000 "

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimelab import cli
+from regimelab import cli, nullmodels
 from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import load_price_csv, write_table
 from regimelab.econometrics import depth_regression
@@ -63,6 +63,13 @@ class TestHeadlineCmd:
         rc = main(["headline", "--out", str(tmp_path / "r")])
         assert rc != 0
         assert "nowhere" in capsys.readouterr().err
+
+    def test_empty_env_var_data_dir_is_unset(self, tmp_path, capsys, monkeypatch):
+        # an empty value would otherwise make the current directory the data directory
+        monkeypatch.setenv("REGIMELAB_DATA_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["headline", "--out", "r"]) == 1
+        assert "monthly panel not found: data/finra_vix_monthly.csv" in capsys.readouterr().err
 
     def test_monthly_file_gives_the_synthetic_tables(self, tmp_path):
         # the synthetic panel, written with full-precision floats, reads back unchanged
@@ -302,7 +309,7 @@ def dying_slice(spec, start, stop):
     return run_slice(spec, start, stop)
 
 nullmodels._run_slice = dying_slice
-cli.usable_cpus = lambda: 2
+nullmodels.usable_cpus = lambda: 2
 nullmodels.STEPS_PER_PROCESS = 1  # a pool, however small the study
 sys.exit(cli.main(sys.argv[1:]))
 """
@@ -346,7 +353,7 @@ def marked_slice(spec, start, stop):
     return run_slice(spec, start, stop)
 
 nullmodels._run_slice = marked_slice
-cli.usable_cpus = lambda: 2
+nullmodels.usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -599,7 +606,7 @@ class TestRunAll:
         get_context, started = multiprocessing.get_context, []
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: started.append(method) or get_context(method))
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(nullmodels, "usable_cpus", lambda: 2)
         prices = ["--prices", str(gbm_csv)] if with_prices else []
         rc = main(["run-all", *prices, "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "res"),
                    "--models", "gbm", "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20",
@@ -902,9 +909,10 @@ class TestBenchmarkReplay:
         assert main([*argv, str(tmp_path / "cli")]) == 0
         if name == "prices_runall":  # the replay passes r3 the censored episode too
             with pytest.warns(UserWarning, match="excluded 1 censored episodes"):
-                replay.replay([*argv, str(tmp_path / "replay")], "test")
+                rp = replay.replay([*argv, str(tmp_path / "replay")], "test")
         else:
-            replay.replay([*argv, str(tmp_path / "replay")], "test")
+            rp = replay.replay([*argv, str(tmp_path / "replay")], "test")
+        assert replay.null_fidelity_problems(rp) == []  # the benchmark's own run_null_study call
         cli_tables = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
         assert sorted(cli_tables) == sorted(f"{stem}.csv" for stem in workload.tables)
         assert {p.name: p.read_bytes() for p in (tmp_path / "replay").iterdir()} == cli_tables

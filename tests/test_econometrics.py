@@ -69,7 +69,7 @@ class TestOlsHac:
         y, X = random_instance(rng, n=5, k=2)
         with pytest.raises(ValueError, match=r"lags \(5\).*observations \(5\)"):
             ols_hac(y, X, lags=5)
-        assert ols_hac(y, X, lags=4).lags == 4
+        assert ols_hac(y, X, lags=4).nobs == 5
 
     def test_rank_deficient_names_column(self):
         X = np.column_stack([np.ones(30), np.arange(30.0), 2.0 * np.arange(30.0)])

@@ -384,10 +384,18 @@ class TestWorkers:
     def any_size(self, monkeypatch):
         monkeypatch.setattr(nullmodels, "STEPS_PER_PROCESS", 1)  # a pool, however small the study set
 
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """cpus(n): the studies see n usable CPUs, whatever CPUs this test may use."""
+        return lambda n: monkeypatch.setattr(nullmodels, "usable_cpus", lambda: n)
+
     @pytest.mark.parametrize("model", MODELS)
-    def test_row_same_for_every_worker_count(self, model, any_size, pools):
+    def test_row_same_for_every_worker_count(self, model, any_size, pools, cpus):
         spec = _study_spec(model)
-        assert run_null_study(spec, 1.35, workers=2).row() == run_null_study(spec, 1.35, workers=1).row()
+        cpus(1)
+        want = run_null_study(spec, 1.35).row()
+        cpus(2)
+        assert run_null_study(spec, 1.35).row() == want
         assert pools == [2]
 
     @pytest.mark.parametrize("model", MODELS)
@@ -399,62 +407,72 @@ class TestWorkers:
         assert joined == _run_slice(spec, 0, spec.n_paths)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_studies_with_fewer_paths_than_slices(self, workers, any_size, pools):
+    def test_studies_with_fewer_paths_than_slices(self, workers, any_size, pools, cpus):
         # with 1 and 3 paths, some of the SLICES_PER_WORKER slices per process are empty
         specs = [replace(_study_spec(model), n_paths=n)
                  for model, n in (("gbm", 1), ("markov_rs", 3), ("block_bootstrap", 12))]
-        want = [run_null_study(spec, 1.35, workers=1).row() for spec in specs]
-        assert [s.row() for s in run_null_studies(specs, 1.35, workers=workers)] == want
+        cpus(1)
+        want = [run_null_study(spec, 1.35).row() for spec in specs]
+        cpus(workers)
+        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
         assert pools == [2] * (workers - 1)
 
-    def test_study_set_below_steps_per_process_runs_in_process(self, monkeypatch):
+    def test_pool_capped_at_the_largest_study(self, any_size, pools, cpus):
+        # a process beyond the largest study's path count would get only empty slices
+        specs = [replace(_study_spec(model), n_paths=n) for model, n in (("gbm", 2), ("heston", 1))]
+        cpus(1)
+        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        cpus(3)
+        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
+        assert pools == [2]
+
+    def test_study_set_below_steps_per_process_runs_in_process(self, monkeypatch, cpus):
         specs = [_study_spec(model) for model in MODELS]
         assert sum(s.n_paths * (s.n_days - 1) for s in specs) < nullmodels.STEPS_PER_PROCESS
-        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
+        cpus(1)
+        want = [s.row() for s in run_null_studies(specs, 1.35)]
 
         def no_pool(*args):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        assert [s.row() for s in run_null_studies(specs, 1.35, workers=2)] == want
+        cpus(2)
+        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
 
-    def test_overlapped_study_set_below_steps_per_process_pooled(self, pools):
+    def test_overlapped_study_set_below_steps_per_process_pooled(self, pools, cpus):
         # the caller works while the pool runs, so a pool pays at any size
         specs = [_study_spec(model) for model in MODELS]
-        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
-        with null_studies(specs, 1.35, workers=2, overlapped=True) as collect:
+        cpus(1)
+        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        cpus(2)
+        with null_studies(specs, 1.35, overlapped=True) as collect:
             assert [s.row() for s in collect()] == want
         assert pools == [2]
 
     @pytest.mark.parametrize("short", [0, 1], ids=["at", "one-path-below"])
-    def test_pool_from_steps_per_process(self, pools, short):
+    def test_pool_from_steps_per_process(self, pools, short, cpus):
         # two 2,001-day studies share the pool, so their 2,000-step paths add up to the threshold;
-        # from there, every worker asked for starts
+        # from there, a process per usable CPU starts
         n_paths = nullmodels.STEPS_PER_PROCESS // 4_000
         assert n_paths * 4_000 == nullmodels.STEPS_PER_PROCESS
         specs = [NullSpec("gbm", GbmParams(), n_days=2_001, n_paths=n_paths, seed=17),
                  NullSpec("markov_rs", MarkovRsParams(), n_days=2_001, n_paths=n_paths - short, seed=17)]
-        want = [s.row() for s in run_null_studies(specs, 1.35, workers=1)]
-        assert [s.row() for s in run_null_studies(specs, 1.35, workers=3)] == want
+        cpus(1)
+        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        cpus(3)
+        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
         assert pools == [3] * (1 - short)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            run_null_study(_study_spec("gbm"), 1.35, workers=workers)
-
-    def test_serial_without_affinity_or_fork(self, monkeypatch):
-        # an OS without sched_getaffinity (macOS) or fork (Windows) still runs every study
+    def test_serial_without_affinity_or_fork(self, monkeypatch, any_size, cpus):
+        # an OS without sched_getaffinity (macOS) or fork (Windows) still runs every study,
+        # in-process even where a pool would start
         want = run_null_study(_study_spec("gbm"), 1.35).row()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.delattr(os, "fork", raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", None)
         assert usable_cpus() == (os.cpu_count() or 1)
-        assert run_null_study(_study_spec("gbm"), 1.35, workers=usable_cpus() + 1).row() == want
+        cpus(2)
+        assert run_null_study(_study_spec("gbm"), 1.35).row() == want
 
 
 KERNEL_CASES = [(seed, n) for seed in range(5) for n in (19_169, 2_519)]
@@ -780,7 +798,7 @@ class TestKernelBuild:
 import sys
 from regimelab import cli, nullmodels
 workers = int(sys.argv.pop(1))
-cli.usable_cpus = lambda: workers
+nullmodels.usable_cpus = lambda: workers
 nullmodels.STEPS_PER_PROCESS = 1
 sys.exit(cli.main(sys.argv[1:]))
 """
