@@ -6,12 +6,15 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataio import MonthlyPanel, MonthlyTable, build_panel, column_rows
-from .episodes import Episode
 from .regime import lag_flags
+
+if TYPE_CHECKING:  # for an annotation only: importing episodes would load it into headline and cot
+    from .episodes import Episode
 
 HEADLINE_NAMES = ("a", "a_S", "b", "b_S")
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
+from . import MODELS, kernels
 from .dataio import PricePath
 from .resample import derive_rng, median, quantile, stationary_block_cumsum
 
@@ -139,14 +139,8 @@ class BlockBootstrapParams:
             raise ValueError("mean_block must be >= 1")
 
 
-DEFAULT_PARAMS = {
-    "gbm": GbmParams,
-    "asym_vol": AsymVolParams,
-    "heston": HestonParams,
-    "markov_rs": MarkovRsParams,
-    "block_bootstrap": BlockBootstrapParams,
-}
-MODELS = tuple(DEFAULT_PARAMS)
+DEFAULT_PARAMS = dict(zip(MODELS, (GbmParams, AsymVolParams, HestonParams, MarkovRsParams, BlockBootstrapParams),
+                          strict=True))
 
 
 @dataclass(frozen=True)

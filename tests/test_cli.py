@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regimelab
 from regimelab import cli, nullmodels
 from regimelab.cli import _models, build_parser, config_from_args, main
 from regimelab.dataio import load_price_csv, write_table
@@ -622,7 +623,7 @@ class TestRunAll:
             calls.append(path)
             return load_price_csv(path)
 
-        monkeypatch.setattr(cli, "load_price_csv", counting)
+        monkeypatch.setattr("regimelab.dataio.load_price_csv", counting)
         rc = main(["run-all", "--prices", str(gbm_csv), "--data-dir", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "res"), "--models", "gbm,block_bootstrap",
                    "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20",
@@ -643,7 +644,7 @@ class TestRunAll:
             calls.append(path)
             return load_price_csv(path)
 
-        monkeypatch.setattr(cli, "load_price_csv", counting)
+        monkeypatch.setattr("regimelab.dataio.load_price_csv", counting)
         lines = gbm_csv.read_bytes().splitlines(keepends=True)[:400]
         lines[200] = lines[200].replace(b",", b",\xff", 1)
         bad = tmp_path / "bad.csv"
@@ -892,6 +893,38 @@ sys.exit(code)
         assert done.stdout.splitlines()[-1] == "False"
 
 
+class TestStartupImports:
+    """`python -m regimelab.cli` loads only the layers the command runs: one
+    that computes nothing (--version, --help, a rejected flag) loads no numpy."""
+
+    SCRIPT = """\
+import runpy, sys
+try:
+    runpy.run_module("regimelab.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(sys.modules)))
+"""
+    SMALL = ["--out", "res", "--data-dir", "none"]
+
+    @pytest.mark.parametrize("argv,code,loaded,unloaded", [
+        (["--version"], 0, "regimelab", ["numpy"]),
+        (["--help"], 0, "regimelab", ["numpy"]),
+        (["run-all", "--help"], 0, "regimelab", ["numpy"]),
+        (["nulls", "--paths", "x"], 2, "regimelab", ["numpy"]),
+        (["nulls", *SMALL, "--paths", "6", "--days", "700"], 0, "regimelab.nullmodels",
+         ["regimelab.econometrics", "regimelab.episodes", "regimelab.survival", "regimelab.intermediary"]),
+        (["headline", *SMALL, "--synthetic", "--periods", "240", "--agents", "20"], 0, "regimelab.econometrics",
+         ["regimelab.nullmodels", "regimelab.survival", "regimelab.episodes"]),
+    ], ids=["version", "help", "run-all-help", "rejected-flag", "nulls", "headline-synthetic"])
+    def test_command_imports_only_its_layers(self, tmp_path, argv, code, loaded, unloaded):
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], cwd=tmp_path, env=subprocess_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        modules = set(done.stdout.splitlines()[-1].split())
+        assert loaded in modules
+        assert modules.isdisjoint(unloaded), sorted(modules.intersection(unloaded))
+
+
 class TestBenchmarkReplay:
     @pytest.fixture
     def benchmark_modules(self, monkeypatch):
@@ -964,3 +997,39 @@ class TestCliSurface:
         missing = [f"{file}: from {module} import {name}" for file, module, name in imported
                    if not hasattr(importlib.import_module(module), name)]
         assert missing == []
+
+
+# the package's exports, each imported from its module on first access
+EXPORTS = {
+    "dataio": ["MonthlyPanel", "MonthlyTable", "PricePath", "build_panel", "load_exposure_csv", "load_monthly_csv",
+               "load_price_csv", "write_table"],
+    "econometrics": ["HeadlineFit", "RegressionFit", "depth_regression", "headline_regression", "ols_hac",
+                     "robustness_sweep"],
+    "episodes": ["BucketRow", "Episode", "bucket_stats", "delta_sensitivity", "detect_episodes", "episode_arrays"],
+    "intermediary": ["IntermediaryConfig", "SimulatedPanel", "simulate"],
+    "nullmodels": ["AsymVolParams", "BlockBootstrapParams", "GbmParams", "HestonParams", "MarkovRsParams",
+                   "NullSpec", "NullStudySummary", "run_null_study", "simulate_closes", "simulate_path"],
+    "regime": ["RegimeClassification", "classify", "lag_flags"],
+    "resample": ["derive_rng", "percentile_ci_median"],
+    "survival": ["CoxFit", "cox_fit"],
+    "timeseries": ["detrend", "log_returns", "realized_vol"],
+}
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
+    def test_export_is_its_modules_object(self, module, name):
+        namespace = {}
+        exec(f"from regimelab import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"regimelab.{module}"), name)
+        assert name in dir(regimelab)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            regimelab.no_such_name
+        assert not hasattr(regimelab, "no_such_name")
+
+    def test_model_names_are_the_registrys(self):
+        # the CLI reads the model names from the package, before numpy loads
+        assert regimelab.MODELS == MODELS == tuple(nullmodels.DEFAULT_PARAMS)
+        assert build_parser().parse_args(["nulls"]).models == MODELS
