@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -195,7 +195,7 @@ def cmd_r3(cfg: RunConfig) -> Tables:
 
 
 def _null_specs(cfg: RunConfig) -> list[NullSpec]:
-    """cfg.models' specs, checked; without its price CSV, block_bootstrap is left out if other models remain."""
+    """cfg.models' specs, checked; with no price CSV, block_bootstrap is dropped, and noted, if others remain."""
     from .nullmodels import DEFAULT_PARAMS, BlockBootstrapParams, NullSpec
     from .timeseries import log_returns
     models = list(cfg.models)
@@ -218,6 +218,7 @@ def _null_specs(cfg: RunConfig) -> list[NullSpec]:
             )
         else:
             models = [m for m in models if m != "block_bootstrap"]
+            print(f"note: block_bootstrap skipped, price CSV not found ({price_file})")
     return [
         NullSpec(model, BlockBootstrapParams(returns) if model == "block_bootstrap" else DEFAULT_PARAMS[model](),
                  n_days=cfg.n_days, n_paths=cfg.n_paths, seed=cfg.seed, delta=cfg.delta)
@@ -226,20 +227,18 @@ def _null_specs(cfg: RunConfig) -> list[NullSpec]:
 
 
 def cmd_nulls(cfg: RunConfig, collect=None) -> Tables:
-    """`collect`, when given, waits for the studies of these specs that cmd_run_all started."""
-    from .nullmodels import run_null_studies
-    specs = _null_specs(cfg)
-    if len(specs) < len(cfg.models):
-        print(f"note: block_bootstrap skipped, price CSV not found ({cfg.price_path()})")
-    rows = []
-    for summary in collect() if collect else run_null_studies(specs, cfg.comparator):
-        rows.append(summary.row())
+    """The studies of _null_specs(cfg), started here, or by run-all, which passes `collect` to wait for them."""
+    from .nullmodels import null_studies
+    with ExitStack() as stack:
+        collect = collect or stack.enter_context(null_studies(_null_specs(cfg), cfg.comparator))
+        summaries = collect()
+    for summary in summaries:
         print(
             f"{summary.model}: median tau {summary.median_tau:.3f} "
             f"[{summary.q05:.2f}, {summary.q95:.2f}], p = {summary.p_one_sided:.3f}, "
             f"accepted {summary.n_accepted}/{cfg.n_paths}"
         )
-    return [("nulls", rows)]
+    return [("nulls", [summary.row() for summary in summaries])]
 
 
 def cmd_cot(cfg: RunConfig) -> Tables:
@@ -276,34 +275,33 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
         print("run-all: monthly panel missing, running headline on synthetic data")
         cfg = replace(cfg, synthetic=True)
     failures = _run("headline", cmd_headline, cfg)
-    steps = ["episodes", "r3", "nulls", "cot"]
+    # each step's command, or the error that rules the step out, for _run to report
+    steps = {step: COMMANDS[step][0] for step in ("episodes", "r3", "nulls", "cot")}
     if not cfg.price_path().exists():
         print(
             "run-all: price CSV missing, data-conditional checks skipped "
             f"(episodes, r3; expected at {cfg.price_path()})"
         )
-        steps = ["nulls", "cot"]
+        del steps["episodes"], steps["r3"]
     else:
         try:
             cfg.price_series  # parsed here, so a bad file is read and reported once
         except (ValueError, OSError) as exc:
             print(f"run-all: {exc}", file=sys.stderr)
-            skipped = ["episodes", "r3"] + ["nulls"] * ("block_bootstrap" in cfg.models)
-            for step in skipped:
-                print(f"{step}: skipped, the price file could not be read", file=sys.stderr)
-            failures += len(skipped)
-            steps = [step for step in steps if step not in skipped]
-    commands = {step: COMMANDS[step][0] for step in steps}
+            unread = ["episodes", "r3"] + ["nulls"] * ("block_bootstrap" in cfg.models)
+            steps.update(dict.fromkeys(unread, ValueError("skipped, the price file could not be read")))
     with ExitStack() as stack:
-        if "nulls" in steps:
+        if callable(steps["nulls"]):
             # run-all draws numbers itself, so its workers inherit numpy.random; a pooled nulls parent never
             # draws one, and leaves the import (several MB with the libcrypto it brings) to its workers
             import numpy.random  # noqa: F401
-            # the workers run the studies during episodes and r3; on an error, the nulls step runs and reports it
-            with suppress(ValueError, OSError):
-                commands["nulls"] = partial(cmd_nulls, collect=stack.enter_context(null_studies(
-                    _null_specs(cfg), cfg.comparator, overlapped="episodes" in steps)))
-        failures += sum(_run(step, command, cfg) for step, command in commands.items())
+            # the workers run the studies during episodes and r3; an error in starting them is the nulls step's
+            try:
+                steps["nulls"] = partial(cmd_nulls, collect=stack.enter_context(null_studies(
+                    _null_specs(cfg), cfg.comparator, overlapped=callable(steps.get("episodes")))))
+            except (ValueError, OSError) as exc:
+                steps["nulls"] = exc
+        failures += sum(_run(step, command, cfg) for step, command in steps.items())
     if failures:
         raise ValueError(f"{failures} sub-command(s) failed")
     print("run-all: complete")
@@ -313,11 +311,14 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
 def _run(label: str, command, cfg: RunConfig) -> int:
     """Run one command, then write its tables: a command that raises writes none.
 
-    A ValueError or OSError is printed on stderr as `<label>: <reason>` and
-    returns 1; success returns 0.
+    Every command's and run-all step's outcome is reported here: a ValueError or OSError, raised by
+    the command or passed in its place (a step ruled out before it runs), is printed on stderr as
+    `<label>: <reason>` and returns 1; success returns 0.
     """
     from .dataio import write_table
     try:
+        if isinstance(command, Exception):
+            raise command
         for stem, rows in command(cfg):
             cfg.out.mkdir(parents=True, exist_ok=True)
             path = cfg.out_file(stem)

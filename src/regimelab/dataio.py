@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,7 +257,9 @@ def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None
     """Write result records with a deterministic column order.
 
     Columns follow the first row's key order; floats are serialized with 10
-    significant digits; the JSON form mirrors the CSV columns exactly.
+    significant digits; the JSON form mirrors the CSV columns exactly. The
+    table is renamed into place when whole, so a failed or interrupted write
+    leaves no partial table and an earlier table of that name as it was.
     """
     if not rows:
         raise ValueError("no rows")
@@ -267,14 +270,19 @@ def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None
         if list(r.keys()) != columns:
             raise ValueError("all rows must share the same column order")
     path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(columns)
-            for r in rows:
-                w.writerow([_format_cell(v) for v in r.values()])
-    else:
-        payload = [{c: _json_cell(r[c]) for c in columns} for r in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    # beside the table, so the rename is atomic; open(), unlike mkstemp (0600), gives the usual mode
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="" if format == "csv" else None) as fh:
+            if format == "csv":
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(columns)
+                for r in rows:
+                    w.writerow([_format_cell(v) for v in r.values()])
+            else:
+                payload = [{c: _json_cell(r[c]) for c in columns} for r in rows]
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        tmp.replace(path)
+    finally:  # gone once renamed; otherwise, Ctrl-C included, removed
+        tmp.unlink(missing_ok=True)

@@ -386,12 +386,6 @@ def null_studies(specs: list[NullSpec], comparator_tau: float = 1.35, overlapped
         pool.shutdown(cancel_futures=True)
 
 
-def run_null_studies(specs: list[NullSpec], comparator_tau: float = 1.35) -> list[NullStudySummary]:
-    """run_null_study's summary of each spec, in order (see null_studies)."""
-    with null_studies(specs, comparator_tau) as collect:
-        return collect()
-
-
 def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySummary:
     """Distribution of per-path median duration ratios against a comparator.
 
@@ -402,4 +396,5 @@ def run_null_study(spec: NullSpec, comparator_tau: float = 1.35) -> NullStudySum
     The paths run on a pool sized as in null_studies, one process per usable
     CPU; the summary is the same for every process count.
     """
-    return run_null_studies([spec], comparator_tau)[0]
+    with null_studies([spec], comparator_tau) as collect:
+        return collect()[0]

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -630,6 +631,40 @@ class TestRunAll:
                    "--bootstrap-b", "200"])
         assert rc == 0
         assert calls == [gbm_csv]
+
+    def test_null_specs_resolved_once(self, tmp_path, gbm_csv, monkeypatch):
+        calls = []
+        null_specs = cli._null_specs
+        monkeypatch.setattr(cli, "_null_specs", lambda cfg: calls.append(cfg.models) or null_specs(cfg))
+        rc = main(["run-all", "--prices", str(gbm_csv), "--data-dir", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "res"), "--models", "gbm,block_bootstrap",
+                   "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20",
+                   "--bootstrap-b", "50"])
+        assert rc == 0
+        assert calls == [("gbm", "block_bootstrap")]
+
+    def test_studies_that_fail_to_start_fail_the_nulls_step_once(self, tmp_path, monkeypatch, capsys):
+        # the error is reported at the nulls step, and the studies are not started a second time
+        entered, real = [], nullmodels.null_studies
+
+        @contextlib.contextmanager
+        def failing_first(*args, **kwargs):
+            entered.append(args)
+            if len(entered) == 1:
+                raise OSError("cannot fork")
+            with real(*args, **kwargs) as collect:
+                yield collect
+
+        monkeypatch.setattr(nullmodels, "null_studies", failing_first)
+        out = tmp_path / "res"
+        rc = main(["run-all", "--data-dir", str(tmp_path / "missing"), "--out", str(out),
+                   "--models", "gbm", "--paths", "4", "--days", "1000", "--periods", "240", "--agents", "20"])
+        assert rc == 1
+        assert len(entered) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["nulls: cannot fork", "error: 1 sub-command(s) failed"]
+        assert captured.out.endswith(cli.COT_MESSAGE.format(schema=cli.COT_SCHEMA_HELP) + "\n")  # cot still ran
+        assert sorted(p.name for p in out.iterdir()) == ["headline.csv", "panel.csv", "sweeps.csv"]
 
     # the nulls step needs the price file only for the block-bootstrap null
     @pytest.mark.parametrize("models,skipped,written", [

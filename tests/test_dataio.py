@@ -166,6 +166,38 @@ class TestWriteTable:
         back = read_table(pj)
         assert back == [{"a": 1.5, "b": "x"}, {"a": 2.0, "b": "y"}]
 
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-table", "new"])
+    def test_failed_json_write_leaves_no_partial_table(self, tmp_path, earlier):
+        # json.dump has written the first rows when it meets the object() cell
+        p = tmp_path / "t.json"
+        if earlier:
+            write_table([{"a": 1.5}], p, format="json")
+            before = p.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_table([{"a": float(i)} for i in range(500)] + [{"a": object()}], p, format="json")
+        assert [f.name for f in tmp_path.iterdir()] == (["t.json"] if earlier else [])
+        if earlier:
+            assert p.read_bytes() == before
+
+    def test_interrupted_csv_write_leaves_the_earlier_table(self, tmp_path):
+        class Interrupting:
+            def __str__(self):
+                raise KeyboardInterrupt
+
+        p = tmp_path / "t.csv"
+        write_table([{"a": 1}], p)
+        with pytest.raises(KeyboardInterrupt):
+            write_table([{"a": 2}, {"a": Interrupting()}], p)
+        assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
+        assert p.read_text() == "a\n1\n"
+
+    def test_table_mode_as_a_file_opened_for_writing(self, tmp_path):
+        p, ref = tmp_path / "t.csv", tmp_path / "ref"
+        write_table([{"a": 1}], p)
+        with open(ref, "w"):
+            pass
+        assert p.stat().st_mode == ref.stat().st_mode
+
     def test_column_rows(self):
         rows = column_rows(month=["2001-01", "2001-02"], level=np.array([1.5, 2.0]), flag=np.array([0, 1]))
         assert rows == [{"month": "2001-01", "level": 1.5, "flag": 0}, {"month": "2001-02", "level": 2.0, "flag": 1}]

@@ -45,7 +45,6 @@ from regimelab.nullmodels import (
     _markov_path,
     _run_slice,
     null_studies,
-    run_null_studies,
     run_null_study,
     simulate_closes,
     simulate_path,
@@ -303,6 +302,11 @@ def _study_spec(model):
     return NullSpec(model, params, n_days=2_520, n_paths=30, seed=17)
 
 
+def _study_rows(specs):
+    with null_studies(specs, 1.35) as collect:
+        return [s.row() for s in collect()]
+
+
 class TestRunNullStudy:
     def test_summary_invariants_small_study(self):
         spec = NullSpec("gbm", GbmParams(), n_days=3_000, n_paths=40, seed=21)
@@ -414,36 +418,36 @@ class TestWorkers:
         cpus(1)
         want = [run_null_study(spec, 1.35).row() for spec in specs]
         cpus(workers)
-        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
+        assert _study_rows(specs) == want
         assert pools == [2] * (workers - 1)
 
     def test_pool_capped_at_the_largest_study(self, any_size, pools, cpus):
         # a process beyond the largest study's path count would get only empty slices
         specs = [replace(_study_spec(model), n_paths=n) for model, n in (("gbm", 2), ("heston", 1))]
         cpus(1)
-        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        want = _study_rows(specs)
         cpus(3)
-        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
+        assert _study_rows(specs) == want
         assert pools == [2]
 
     def test_study_set_below_steps_per_process_runs_in_process(self, monkeypatch, cpus):
         specs = [_study_spec(model) for model in MODELS]
         assert sum(s.n_paths * (s.n_days - 1) for s in specs) < nullmodels.STEPS_PER_PROCESS
         cpus(1)
-        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        want = _study_rows(specs)
 
         def no_pool(*args):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         cpus(2)
-        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
+        assert _study_rows(specs) == want
 
     def test_overlapped_study_set_below_steps_per_process_pooled(self, pools, cpus):
         # the caller works while the pool runs, so a pool pays at any size
         specs = [_study_spec(model) for model in MODELS]
         cpus(1)
-        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        want = _study_rows(specs)
         cpus(2)
         with null_studies(specs, 1.35, overlapped=True) as collect:
             assert [s.row() for s in collect()] == want
@@ -458,9 +462,9 @@ class TestWorkers:
         specs = [NullSpec("gbm", GbmParams(), n_days=2_001, n_paths=n_paths, seed=17),
                  NullSpec("markov_rs", MarkovRsParams(), n_days=2_001, n_paths=n_paths - short, seed=17)]
         cpus(1)
-        want = [s.row() for s in run_null_studies(specs, 1.35)]
+        want = _study_rows(specs)
         cpus(3)
-        assert [s.row() for s in run_null_studies(specs, 1.35)] == want
+        assert _study_rows(specs) == want
         assert pools == [3] * (1 - short)
 
     def test_serial_without_affinity_or_fork(self, monkeypatch, any_size, cpus):
