@@ -98,7 +98,7 @@ class RunConfig:
         return self.out / f"{stem}.{ext}"
 
 
-Tables = list[tuple[str, list[dict]]]  # (stem, rows) in write order
+Tables = list[tuple[str, dict | list[dict]]]  # (stem, columns or rows) in write order
 
 
 def _load_headline_panel(cfg: RunConfig):
@@ -119,7 +119,6 @@ def _load_headline_panel(cfg: RunConfig):
 
 
 def cmd_headline(cfg: RunConfig) -> Tables:
-    from .dataio import column_rows
     from .econometrics import headline_regression, robustness_sweep
     panel = _load_headline_panel(cfg)
     fit = headline_regression(panel, lags=cfg.lags, lag_regime=cfg.lag_regime)
@@ -130,14 +129,13 @@ def cmd_headline(cfg: RunConfig) -> Tables:
     )
     sweep_rows = robustness_sweep(panel, lags=cfg.lags)
     print(EMA_NOTE)
-    panel_rows = column_rows(month=panel.months, margin_debt=panel.margin_debt, vol_proxy=panel.vol_proxy,
-                             detrended=panel.detrended, regime=panel.regime)
-    return [("headline", fit.rows()), ("sweeps", sweep_rows), ("panel", panel_rows)]
+    panel_columns = {"month": panel.months, "margin_debt": panel.margin_debt, "vol_proxy": panel.vol_proxy,
+                     "detrended": panel.detrended, "regime": panel.regime}
+    return [("headline", fit.rows()), ("sweeps", sweep_rows), ("panel", panel_columns)]
 
 
 def cmd_episodes(cfg: RunConfig) -> Tables:
     import numpy as np
-    from .dataio import column_rows
     from .episodes import bucket_rows_to_records, bucket_stats, delta_sensitivity, detect_episodes, episodes_to_rows
     from .regime import classify
     from .timeseries import log_returns, realized_vol
@@ -155,9 +153,9 @@ def cmd_episodes(cfg: RunConfig) -> Tables:
     idx = np.flatnonzero(~np.isnan(vol))  # vol[i] covers returns ending at date i+1
     cls = classify(vol[idx], q=cfg.q)
     # dates as a list: astype(str) gives 28-character strings, 2 MB on a 19,170-day file
-    vol_rows = column_rows(date=path.dates[idx + 1].astype(str).tolist(), realized_vol=vol[idx], stress=cls.flags)
+    volseries = {"date": path.dates[idx + 1].astype(str).tolist(), "realized_vol": vol[idx], "stress": cls.flags}
     return [("episodes", episodes_to_rows(path, eps)), ("buckets", bucket_rows_to_records(buckets)),
-            ("delta_sensitivity", delta_sensitivity(path)), ("volseries", vol_rows)]
+            ("delta_sensitivity", delta_sensitivity(path)), ("volseries", volseries)]
 
 
 def cmd_r3(cfg: RunConfig) -> Tables:
@@ -263,7 +261,7 @@ def cmd_simulate_intermediary(cfg: RunConfig) -> Tables:
     sim = simulate(IntermediaryConfig(n_agents=cfg.agents, T=cfg.periods, seed=cfg.seed))
     n_stress = int(sim.regime.sum())
     print(f"simulated {cfg.periods} periods, {cfg.agents} agents, {n_stress} stress periods")
-    return [("intermediary_panel", sim.rows())]
+    return [("intermediary_panel", sim.columns())]
 
 
 def cmd_run_all(cfg: RunConfig) -> Tables:
@@ -309,7 +307,7 @@ def cmd_run_all(cfg: RunConfig) -> Tables:
 
 
 def _run(label: str, command, cfg: RunConfig) -> int:
-    """Run one command, then write its tables: a command that raises writes none.
+    """Run one command, then write its tables (columns or rows): a command that raises writes none.
 
     Every command's and run-all step's outcome is reported here: a ValueError or OSError, raised by
     the command or passed in its place (a step ruled out before it runs), is printed on stderr as
@@ -319,10 +317,10 @@ def _run(label: str, command, cfg: RunConfig) -> int:
     try:
         if isinstance(command, Exception):
             raise command
-        for stem, rows in command(cfg):
+        for stem, table in command(cfg):
             cfg.out.mkdir(parents=True, exist_ok=True)
             path = cfg.out_file(stem)
-            write_table(rows, path, cfg.format)
+            write_table(table, path, cfg.format)
             print(f"wrote {path}")
     except (ValueError, OSError) as exc:
         print(f"{label}: {exc}", file=sys.stderr)

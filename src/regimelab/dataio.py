@@ -238,37 +238,31 @@ def _json_cell(v):
     return v
 
 
-def column_rows(**columns) -> list[dict]:
-    """One row dict per index of equal-length columns, keys in argument order.
+def write_table(table: dict | list[dict], path: str | Path, format: str = "csv") -> None:
+    """Write a result table given as columns, ``{name: sequence}`` in column order, all of one length.
 
-    An array column is taken through its tolist(), so rows hold Python floats
-    and ints, which write_table writes as it would the array's own values;
-    columns of unequal length raise ValueError.
+    Each column becomes cells in one pass (an array through one tolist()); floats are serialized with
+    10 significant digits, and a numpy scalar as the Python value it holds; the JSON form mirrors the
+    CSV columns exactly. A list of row dicts sharing one key order is transposed to columns first:
+    benchmark/replay.py and the few-row record tables hand rows, until ROADMAP item 3 removes this adapter.
+    The table is renamed into place when whole, so a failed or interrupted write leaves no partial
+    table and an earlier table of that name as it was.
     """
-    rows = [{} for _ in range(len(next(iter(columns.values()))))]
-    for name, column in columns.items():  # column by column: one list alive at a time
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        for row, value in zip(rows, values, strict=True):
-            row[name] = value
-    return rows
-
-
-def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None:
-    """Write result records with a deterministic column order.
-
-    Columns follow the first row's key order; floats are serialized with 10
-    significant digits; the JSON form mirrors the CSV columns exactly. The
-    table is renamed into place when whole, so a failed or interrupted write
-    leaves no partial table and an earlier table of that name as it was.
-    """
-    if not rows:
+    if isinstance(table, list):
+        if not table:
+            raise ValueError("no rows")
+        if any(list(r) != list(table[0]) for r in table):
+            raise ValueError("all rows must share the same column order")
+        table = {name: [r[name] for r in table] for name in table[0]}
+    lengths = {len(column) for column in table.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {sorted(lengths)}")
+    if not any(lengths):
         raise ValueError("no rows")
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    columns = list(rows[0].keys())
-    for r in rows:
-        if list(r.keys()) != columns:
-            raise ValueError("all rows must share the same column order")
+    cell = _format_cell if format == "csv" else _json_cell
+    cells = [list(map(cell, c.tolist() if isinstance(c, np.ndarray) else c)) for c in table.values()]
     path = Path(path)
     # beside the table, so the rename is atomic; open(), unlike mkstemp (0600), gives the usual mode
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -276,12 +270,10 @@ def write_table(rows: list[dict], path: str | Path, format: str = "csv") -> None
         with open(tmp, "w", newline="" if format == "csv" else None) as fh:
             if format == "csv":
                 w = csv.writer(fh, lineterminator="\n")
-                w.writerow(columns)
-                for r in rows:
-                    w.writerow([_format_cell(v) for v in r.values()])
+                w.writerow(table)
+                w.writerows(zip(*cells))
             else:
-                payload = [{c: _json_cell(r[c]) for c in columns} for r in rows]
-                json.dump(payload, fh, indent=2)
+                json.dump([dict(zip(table, row)) for row in zip(*cells)], fh, indent=2)
                 fh.write("\n")
         tmp.replace(path)
     finally:  # gone once renamed; otherwise, Ctrl-C included, removed

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataio import MonthlyPanel, MonthlyTable, build_panel, column_rows
+from .dataio import MonthlyPanel, MonthlyTable, build_panel
 from .regime import lag_flags
 
 if TYPE_CHECKING:  # for an annotation only: importing episodes would load it into headline and cot
@@ -51,7 +51,8 @@ class RegressionFit:
     nobs: int
 
     def rows(self) -> list[dict]:
-        return column_rows(coef=self.names, estimate=self.coef, hac_se=self.se, t=self.t, p=self.p)
+        return [{"coef": c, "estimate": b, "hac_se": se, "t": t, "p": p} for c, b, se, t, p in
+                zip(self.names, self.coef.tolist(), self.se.tolist(), self.t.tolist(), self.p.tolist())]
 
 
 def ols_hac(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import MonthlyTable, column_rows
+from .dataio import MonthlyTable
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class SimulatedPanel:
     def agent_exposure(self) -> np.ndarray:
         return self.capital / (self.config.var_k * self.vol[:, None])
 
-    def rows(self) -> list[dict]:
-        return column_rows(t=range(self.vol.size), vol=self.vol, regime=self.regime,
-                           aggregate_exposure=self.aggregate, price=self.price)
+    def columns(self) -> dict:
+        return {"t": range(self.vol.size), "vol": self.vol, "regime": self.regime,
+                "aggregate_exposure": self.aggregate, "price": self.price}
 
 
 def simulate(config: IntermediaryConfig) -> SimulatedPanel:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -705,6 +706,9 @@ class TestRunAll:
         rows = read_table(out / "headline.json")
         assert rows[0]["coef"] == "a"
 
+    SMALL_RUN_ALL = ["--models", "gbm,block_bootstrap", "--paths", "4", "--days", "1000",
+                     "--periods", "240", "--agents", "20", "--bootstrap-b", "50"]
+
     @pytest.mark.parametrize("with_prices", [True, False], ids=["prices", "data-free"])
     def test_every_table_reads_back_equal_in_csv_and_json(self, tmp_path, gbm_csv, with_prices):
         prices = ["--prices", str(gbm_csv)] if with_prices else []
@@ -712,8 +716,7 @@ class TestRunAll:
         for fmt in ("csv", "json"):
             out = tmp_path / fmt
             rc = main(["run-all", *prices, "--data-dir", str(tmp_path / "missing"), "--out", str(out),
-                       "--format", fmt, "--models", "gbm,block_bootstrap", "--paths", "4", "--days", "1000",
-                       "--periods", "240", "--agents", "20", "--bootstrap-b", "50"])
+                       "--format", fmt, *self.SMALL_RUN_ALL])
             assert rc == 0
             tables[fmt] = {p.stem: read_table(p) for p in sorted(out.iterdir())}
         assert len(tables["csv"]) == (10 if with_prices else 4)
@@ -723,6 +726,29 @@ class TestRunAll:
             for i, (a, b) in enumerate(zip(rows, tables["json"][stem])):
                 assert list(a) == list(b), (stem, i)
                 assert all(x == y or x != x and y != y for x, y in zip(a.values(), b.values())), (stem, i)
+
+    # SHA-256 of each JSON table of the price-file run above: they pin the bytes that json.dump(payload,
+    # indent=2) plus a newline writes, which the read-back test, comparing parsed values, cannot see
+    JSON_SHA256 = {
+        "buckets.json": "8aa42ce2e3ec14b6bfc0b23bd7586afe2192850437e727c25859751a0660cbac",
+        "cox.json": "7ec9f0cfe05bca196e1e5f4a3f78b7597dd4ebfe052680b46af47585e6803bca",
+        "delta_sensitivity.json": "6a88874026ebf70869766296fc1b7291a6ac5cf98439d9e5e71e1643aeac3db7",
+        "episodes.json": "6fd45b27f7f30b57c082f99f2167b86711ec5d7f6fcffbac00d30883f315883d",
+        "headline.json": "eb6526ef91be753ed91370e3e24cd89211a9f8f64c8df787d8dbd627a7915766",
+        "nulls.json": "404066580e7222ed095e067f9284519f2b30406218455cec530784cc4e8ad8be",
+        "panel.json": "8b2cdc3eaa74bb197acedd94555b4f4975d8ca44fd18a001272482bd8a7b8670",
+        "r3_depth.json": "924b884d6be00030773e7ec574d82628678350811edf67088692b0dcde213284",
+        "sweeps.json": "f82a7b60d1ce401df94660c685af861284fca636d0de04cf12adef14b404dbcb",
+        "volseries.json": "b06bec908225ac95f76b2e1380a6232d1eac4cc1576518ec5a32fbe1a71f99bb",
+    }
+
+    def test_json_tables_keep_their_bytes(self, tmp_path, gbm_csv):
+        out = tmp_path / "json"
+        rc = main(["run-all", "--prices", str(gbm_csv), "--data-dir", str(tmp_path / "missing"), "--out", str(out),
+                   "--format", "json", *self.SMALL_RUN_ALL])
+        assert rc == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        assert got == self.JSON_SHA256
 
     def test_failed_subcommand_propagates(self, tmp_path, capsys):
         rc = main(["run-all", "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "r"),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from regimelab.dataio import (
     MonthlyPanel,
     build_panel,
-    column_rows,
     load_exposure_csv,
     load_monthly_csv,
     load_price_csv,
@@ -198,13 +198,46 @@ class TestWriteTable:
             pass
         assert p.stat().st_mode == ref.stat().st_mode
 
-    def test_column_rows(self):
-        rows = column_rows(month=["2001-01", "2001-02"], level=np.array([1.5, 2.0]), flag=np.array([0, 1]))
-        assert rows == [{"month": "2001-01", "level": 1.5, "flag": 0}, {"month": "2001-02", "level": 2.0, "flag": 1}]
-        assert [list(r) for r in rows] == [["month", "level", "flag"]] * 2
-        assert [type(v) for v in rows[1].values()] == [str, float, int]
-        with pytest.raises(ValueError, match="longer than"):
-            column_rows(month=["2001-01"], level=np.array([1.5, 2.0]))
+    def test_unequal_column_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            write_table({"month": ["2001-01"], "level": np.array([1.5, 2.0])}, tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("table", [{"a": [], "b": np.array([])}, {}], ids=["empty-columns", "no-columns"])
+    def test_column_table_with_no_rows_rejected(self, tmp_path, table):
+        with pytest.raises(ValueError, match="no rows"):
+            write_table(table, tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_columns_written_in_key_order(self, tmp_path):
+        table = {"month": ["2001-01", "2001-02"], "level": np.array([1.5, 2.0]), "flag": np.array([0, 1])}
+        write_table(table, tmp_path / "t.csv")
+        write_table(table, tmp_path / "t.json", format="json")
+        assert (tmp_path / "t.csv").read_text() == "month,level,flag\n2001-01,1.5,0\n2001-02,2,1\n"
+        objects = json.loads((tmp_path / "t.json").read_text())
+        assert [list(o) for o in objects] == [["month", "level", "flag"]] * 2
+        assert objects[1] == {"month": "2001-02", "level": 2.0, "flag": 1}
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_array_list_and_numpy_scalar_rows_write_the_same_bytes(self, tmp_path, format):
+        x, n, flag = [1.5, 1 / 3, -2e-12], [3, -2, 0], [True, False, True]
+        tables = {
+            "arrays": {"x": np.array(x), "n": np.array(n), "flag": np.array(flag)},
+            "lists": {"x": x, "n": n, "flag": flag},
+            "numpy-scalar-rows": [{"x": np.float64(a), "n": np.int64(b), "flag": np.bool_(c)}
+                                  for a, b, c in zip(x, n, flag)],
+        }
+        written = {}
+        for name, table in tables.items():
+            write_table(table, tmp_path / f"{name}.{format}", format=format)
+            written[name] = (tmp_path / f"{name}.{format}").read_bytes()
+        assert len(set(written.values())) == 1, written
+        if format == "csv":
+            assert written["lists"] == b"x,n,flag\n1.5,3,1\n0.3333333333,-2,0\n-2e-12,0,1\n"
+        else:
+            assert json.loads(written["lists"]) == [{"x": 1.5, "n": 3, "flag": True},
+                                                    {"x": 0.3333333333, "n": -2, "flag": False},
+                                                    {"x": -2e-12, "n": 0, "flag": True}]
 
     def test_headline_schema_golden(self, tmp_path):
         # fixed column schema for the headline result table

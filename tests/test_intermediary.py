@@ -107,9 +107,9 @@ class TestSimulate:
 
     def test_rows_schema(self):
         sim = simulate(IntermediaryConfig(T=10, seed=1))
-        rows = sim.rows()
-        assert list(rows[0].keys()) == ["t", "vol", "regime", "aggregate_exposure", "price"]
-        assert len(rows) == 10
+        columns = sim.columns()
+        assert list(columns) == ["t", "vol", "regime", "aggregate_exposure", "price"]
+        assert [len(c) for c in columns.values()] == [10] * 5
 
     def test_to_monthly_table_consecutive(self):
         sim = simulate(IntermediaryConfig(T=25, seed=1))
