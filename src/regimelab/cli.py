@@ -165,9 +165,6 @@ def cmd_r3(cfg: RunConfig) -> Tables:
     path = cfg.price_series
     eps = detect_episodes(path, delta=cfg.delta, allow_censored=True)
     completed = [e for e in eps if not e.censored]
-    if len(completed) < 3:
-        raise ValueError(f"need >= 3 completed episodes, found {len(completed)}")
-
     fit = depth_regression(completed, lags=cfg.lags)
     rows = [{"variant": "full", **r} for r in fit.rows()]
     outliers = [e for e in completed if str(path.dates[e.peak_idx]).startswith("1980-11")]

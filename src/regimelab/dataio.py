@@ -218,42 +218,33 @@ def build_panel(
 # Result tables
 # ---------------------------------------------------------------------------
 
-_CELL_FORMATS = {str: str, int: str, float: "{:.10g}".format, bool: lambda v: "1" if v else "0",
-                 type(None): lambda v: ""}
 
-
-def _format_cell(v) -> str:
+def _cell(v, csv_form: bool):
+    """The one cell rule of both formats; csv.writer and json.dump write what it returns unchanged
+    (str and int as themselves, None as an empty field or null)."""
     if isinstance(v, np.generic):  # a numpy scalar is written as the Python value it holds
         v = v.item()
-    return _CELL_FORMATS.get(type(v), str)(v)
-
-
-def _json_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(f"{float(v):.10g}")
+    if isinstance(v, float):
+        return f"{v:.10g}" if csv_form else float(f"{v:.10g}")
+    if csv_form and isinstance(v, bool):
+        return "1" if v else "0"
     return v
 
 
 def write_table(table: dict | list[dict], path: str | Path, format: str = "csv") -> None:
     """Write a result table given as columns, ``{name: sequence}`` in column order, all of one length.
 
-    Each column becomes cells in one pass (an array through one tolist()); floats are serialized with
-    10 significant digits, and a numpy scalar as the Python value it holds; the JSON form mirrors the
-    CSV columns exactly. A list of row dicts sharing one key order is transposed to columns first:
+    Each column becomes cells in one pass (an array through one tolist(), each value through _cell); the
+    JSON form mirrors the CSV columns exactly. A list of row dicts sharing one key order is transposed to columns first:
     benchmark/replay.py and the few-row record tables hand rows, until ROADMAP item 3 removes this adapter.
     The table is renamed into place when whole, so a failed or interrupted write leaves no partial
     table and an earlier table of that name as it was.
     """
-    if isinstance(table, list):
-        if not table:
-            raise ValueError("no rows")
-        if any(list(r) != list(table[0]) for r in table):
+    if isinstance(table, list):  # no rows transpose to no columns, rejected below
+        names = list(table[0]) if table else []
+        if any(list(r) != names for r in table):
             raise ValueError("all rows must share the same column order")
-        table = {name: [r[name] for r in table] for name in table[0]}
+        table = {name: [r[name] for r in table] for name in names}
     lengths = {len(column) for column in table.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {sorted(lengths)}")
@@ -261,14 +252,15 @@ def write_table(table: dict | list[dict], path: str | Path, format: str = "csv")
         raise ValueError("no rows")
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    cell = _format_cell if format == "csv" else _json_cell
-    cells = [list(map(cell, c.tolist() if isinstance(c, np.ndarray) else c)) for c in table.values()]
+    csv_form = format == "csv"
+    cells = [[_cell(v, csv_form) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in table.values()]
     path = Path(path)
     # beside the table, so the rename is atomic; open(), unlike mkstemp (0600), gives the usual mode
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="" if format == "csv" else None) as fh:
-            if format == "csv":
+        with open(tmp, "w", newline="" if csv_form else None) as fh:
+            if csv_form:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(table)
                 w.writerows(zip(*cells))

@@ -33,9 +33,13 @@ SWEEP_CELLS = (
 )
 
 
-def _normal_p(t: float) -> float:
-    # two-sided p under the standard normal reference
-    return math.erfc(abs(t) / math.sqrt(2.0)) if math.isfinite(t) else 0.0
+def t_and_p(estimate: float, se: float) -> tuple[float, float]:
+    """t = estimate / se and its two-sided p under the standard normal; the one rule of every fit.
+
+    A zero se gives t = 0 for a zero estimate and +-inf otherwise, whose p is 0.
+    """
+    t = estimate / se if se else (estimate * math.inf if estimate else 0.0)
+    return t, math.erfc(abs(t) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,7 @@ def ols_hac(
     cov = (cov + cov.T) / 2.0
 
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
-    p = np.array([_normal_p(v) for v in t])
+    t, p = np.array(list(map(t_and_p, beta.tolist(), se.tolist()))).T
     return RegressionFit(tuple(names), beta, cov, se, t, p, n)
 
 
@@ -157,10 +159,10 @@ def headline_regression(panel: MonthlyPanel, lags: int = 6, lag_regime: int = 0)
     c = np.array([0.0, 0.0, 1.0, 1.0])  # b + b_S
     est = float(c @ fit.coef)
     se = math.sqrt(max(float(c @ fit.hac_cov @ c), 0.0))
-    t = est / se if se > 0 else (0.0 if est == 0 else math.inf * np.sign(est))
+    t, p = t_and_p(est, se)
     return HeadlineFit(
         fit=fit,
-        stress_slope={"coef": "b_plus_bS", "estimate": est, "hac_se": se, "t": float(t), "p": _normal_p(t)},
+        stress_slope={"coef": "b_plus_bS", "estimate": est, "hac_se": se, "t": t, "p": p},
         wald_p=float(fit.p[3]),
         n_stress=n_stress,
         threshold=panel.threshold,
@@ -174,7 +176,7 @@ def depth_regression(episodes: list[Episode], lags: int = 6) -> RegressionFit:
     if n_dropped:
         warnings.warn(f"depth_regression: excluded {n_dropped} censored episodes")
     if len(usable) < 3:
-        raise ValueError(f"need >= 3 non-censored episodes, got {len(usable)}")
+        raise ValueError(f"need >= 3 completed episodes, found {len(usable)}")
     tau = np.array([e.tau for e in usable])
     if np.any(tau <= 0):
         raise ValueError("duration ratios must be positive")

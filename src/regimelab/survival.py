@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .econometrics import t_and_p
+
 
 @dataclass(frozen=True)
 class CoxFit:
@@ -125,12 +127,12 @@ def cox_fit(durations, events, covariate) -> CoxFit:
             break
 
     se = 1.0 / math.sqrt(info)
-    z = gamma / se
+    z, p = t_and_p(float(gamma), se)
     return CoxFit(
         gamma=float(gamma),
         se=float(se),
-        z=float(z),
-        p=math.erfc(abs(z) / math.sqrt(2.0)),
+        z=z,
+        p=p,
         hr_per_10pp=math.exp(0.10 * gamma),
         n_events=int(ev.sum()),
         n_censored=int((1 - ev).sum()),

@@ -54,11 +54,11 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
         raise ValueError("series must have length >= 3")
     if scheme not in DETREND_SCHEMES:
         raise ValueError(f"unknown detrend scheme {scheme!r}")
+    if scheme != "linear" and np.any(y <= 0):
+        raise ValueError(f"{scheme} detrending requires a positive series")
     t = np.arange(y.size, dtype=float)
 
     if scheme == "log_linear":
-        if np.any(y <= 0):
-            raise ValueError("log_linear detrending requires a positive series")
         intercept, slope = _ols_line(t, np.log(y))
         trend = np.exp(intercept + slope * t)
         return y / trend
@@ -74,8 +74,6 @@ def detrend(series: np.ndarray, scheme: str = "log_linear", param: float | None 
     half_life = 12.0 if param is None else float(param)
     if half_life <= 0:
         raise ValueError("ema half-life must be > 0")
-    if np.any(y <= 0):
-        raise ValueError("ema detrending requires a positive series")
     alpha = 1.0 - math.exp(-math.log(2.0) / half_life)
     ema = np.empty_like(y)
     ema[0] = y[0]

@@ -220,12 +220,15 @@ class TestWriteTable:
 
     @pytest.mark.parametrize("format", ["csv", "json"])
     def test_array_list_and_numpy_scalar_rows_write_the_same_bytes(self, tmp_path, format):
-        x, n, flag = [1.5, 1 / 3, -2e-12], [3, -2, 0], [True, False, True]
+        # a None cell is an empty CSV field or a JSON null; a bool cell is 1/0 or true/false
+        x, n, flag, gap = [1.5, 1 / 3, -2e-12], [3, -2, 0], [True, False, True], [None, 2.5, None]
         tables = {
-            "arrays": {"x": np.array(x), "n": np.array(n), "flag": np.array(flag)},
-            "lists": {"x": x, "n": n, "flag": flag},
-            "numpy-scalar-rows": [{"x": np.float64(a), "n": np.int64(b), "flag": np.bool_(c)}
-                                  for a, b, c in zip(x, n, flag)],
+            "arrays": {"x": np.array(x), "n": np.array(n), "flag": np.array(flag), "gap": np.array(gap)},
+            "lists": {"x": x, "n": n, "flag": flag, "gap": gap},
+            "rows": [{"x": a, "n": b, "flag": c, "gap": g} for a, b, c, g in zip(x, n, flag, gap)],
+            "numpy-scalar-rows": [{"x": np.float64(a), "n": np.int64(b), "flag": np.bool_(c),
+                                   "gap": None if g is None else np.float64(g)}
+                                  for a, b, c, g in zip(x, n, flag, gap)],
         }
         written = {}
         for name, table in tables.items():
@@ -233,11 +236,13 @@ class TestWriteTable:
             written[name] = (tmp_path / f"{name}.{format}").read_bytes()
         assert len(set(written.values())) == 1, written
         if format == "csv":
-            assert written["lists"] == b"x,n,flag\n1.5,3,1\n0.3333333333,-2,0\n-2e-12,0,1\n"
+            assert written["lists"] == b"x,n,flag,gap\n1.5,3,1,\n0.3333333333,-2,0,2.5\n-2e-12,0,1,\n"
         else:
-            assert json.loads(written["lists"]) == [{"x": 1.5, "n": 3, "flag": True},
-                                                    {"x": 0.3333333333, "n": -2, "flag": False},
-                                                    {"x": -2e-12, "n": 0, "flag": True}]
+            assert json.loads(written["lists"]) == [{"x": 1.5, "n": 3, "flag": True, "gap": None},
+                                                    {"x": 0.3333333333, "n": -2, "flag": False, "gap": 2.5},
+                                                    {"x": -2e-12, "n": 0, "flag": True, "gap": None}]
+            # json.loads reads true as True, which equals 1, so the bytes are checked too
+            assert b'"flag": true' in written["lists"] and b'"gap": null' in written["lists"]
 
     def test_headline_schema_golden(self, tmp_path):
         # fixed column schema for the headline result table

@@ -57,6 +57,24 @@ class TestOlsHac:
         assert np.allclose(fit.hac_cov, fit.hac_cov.T)
         assert np.linalg.eigvalsh(fit.hac_cov).min() > -1e-8
 
+    @pytest.mark.parametrize("y,X,t,p", [
+        (np.zeros(8), np.column_stack([np.ones(8), np.arange(8.0)]), [0.0, 0.0], [1.0, 1.0]),
+        (np.eye(8)[0], np.column_stack([np.eye(8)[0], np.ones(8)]), [math.inf, 0.0], [0.0, 1.0]),
+    ], ids=["zero-estimates", "exact-nonzero-estimate"])
+    def test_zero_se_t_and_p(self, y, X, t, p):
+        # se is exactly 0: t is 0 for a zero estimate and +-inf otherwise, whose p is 0
+        fit = ols_hac(y, X, lags=0)
+        assert fit.se.tolist() == [0.0, 0.0]
+        assert fit.t.tolist() == t
+        assert fit.p.tolist() == p
+
+    def test_nan_outcome_gives_nan_p(self):
+        # a NaN in y gives NaN estimates; their p is NaN, not 0 (which would read as significant)
+        y = np.arange(8.0)
+        y[3] = np.nan
+        fit = ols_hac(y, np.column_stack([np.ones(8), np.arange(8.0)]), lags=0)
+        assert np.isnan(fit.p).all()
+
     def test_p_monotone_in_abs_t(self):
         rng = np.random.default_rng(17)
         y, X = random_instance(rng, n=80, k=4)
@@ -171,7 +189,7 @@ class TestDepthRegression:
 
     def test_too_few_episodes(self):
         eps = [self.fake_episode(i, 0.1 * (i + 1), 1.5) for i in range(2)]
-        with pytest.raises(ValueError, match=">= 3"):
+        with pytest.raises(ValueError, match=r"^need >= 3 completed episodes, found 2$"):
             depth_regression(eps)
 
     def test_permuted_depths_rarely_significant(self):

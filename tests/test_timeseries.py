@@ -96,6 +96,23 @@ class TestDetrend:
         with pytest.raises(ValueError, match="crosses zero"):
             detrend(series, "linear")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0], ids=["zero", "negative"])
+    @pytest.mark.parametrize("scheme", ["log_linear", "ema"])
+    def test_non_positive_series_rejected(self, scheme, bad):
+        series = 10.0 + np.arange(12.0)
+        series[5] = bad
+        with pytest.raises(ValueError, match=f"^{scheme} detrending requires a positive series$"):
+            detrend(series, scheme)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0], ids=["zero", "negative"])
+    def test_linear_fits_non_positive_series_under_a_positive_trend(self, bad):
+        series = 10.0 + np.arange(12.0)
+        series[5] = bad
+        detrended = detrend(series, "linear")
+        slope, intercept = np.polyfit(np.arange(12.0), series, 1)
+        assert np.allclose(detrended, series / (intercept + slope * np.arange(12.0)), rtol=1e-12)
+        assert np.sign(detrended[5]) == np.sign(bad)
+
     def test_ema_tracks_level(self):
         series = np.full(48, 7.0)
         assert np.allclose(detrend(series, "ema", 12), 1.0, atol=1e-12)
