@@ -417,6 +417,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # BLAS on the calling thread, set before any command imports numpy: the path pool (null_studies) is
+    # the parallelism and no matrix here reaches OpenBLAS's threading threshold, so an extra BLAS thread
+    # only spins idle. Overridden, not defaulted: left unset, OpenBLAS starts one thread per CPU
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     cfg = config_from_args(build_parser().parse_args(argv))
     return _run("error", COMMANDS[cfg.command][0], cfg)
 

@@ -986,6 +986,36 @@ finally:
         assert modules.isdisjoint(unloaded), sorted(modules.intersection(unloaded))
 
 
+class TestBlasThreads:
+    """A command runs numpy's BLAS on its calling thread, whatever the BLAS variables ask for:
+    an idle BLAS worker spins and burns CPU before it sleeps."""
+
+    SCRIPT = """\
+import os, sys
+if sys.argv[1:]:
+    from regimelab.cli import main
+    main(sys.argv[1:])
+else:
+    import numpy
+print(len(os.listdir("/proc/self/task")))
+"""
+
+    def threads(self, tmp_path, *argv):
+        env = subprocess_env(**dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.splitlines()[-1])
+
+    def test_command_starts_no_blas_thread(self, tmp_path):
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no /proc/self/task to count threads in")
+        if self.threads(tmp_path) == 1:
+            pytest.skip("this numpy's BLAS starts no thread at import (one CPU, or a single-threaded BLAS)")
+        argv = ["headline", "--synthetic", "--periods", "60", "--out", str(tmp_path / "res")]
+        assert self.threads(tmp_path, *argv) == 1
+
+
 class TestBenchmarkReplay:
     @pytest.fixture
     def benchmark_modules(self, monkeypatch):
